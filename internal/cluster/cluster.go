@@ -55,32 +55,30 @@ type Cluster struct {
 	monitor *core.Monitor // nil in Bare mode
 	clients []*Client
 
-	// Sharded mode (Config.Shards > 1): kernels[s] drives shard s
-	// (kernels[0] == kernel) and group is the quantum coordinator.
-	// Both nil on the classic single-kernel path.
+	// kernels[s] drives shard s (kernels[0] == kernel; a single entry
+	// when Config.Shards <= 1). group is the quantum coordinator, nil
+	// unless there are several shards.
 	kernels []*sim.Kernel
 	group   *shard.Group
 
-	bareTicker  *sim.Ticker
-	barePeriod  int
 	bgJobs      map[string]*rdma.BackgroundJob
 	serverStat0 rdma.Stats
+	ran         bool
 
 	// flights and registries are the observability layer (nil unless
 	// cfg.Observe enables them): one flight recorder and one metrics
-	// registry per shard (a single entry on the single-kernel path).
-	// Each instance is stamped or sampled only from its own shard's
-	// kernel — single-writer by construction, like the sanitizer's
-	// per-shard checkers — and they merge deterministically into
-	// Results at run end; see observe.go and DESIGN.md §11.
+	// registry per shard. Each instance is stamped or sampled only from
+	// its own shard's kernel — single-writer by construction, like the
+	// sanitizer's per-shard checkers — and they merge deterministically
+	// into Results at run end; see observe.go and DESIGN.md §11.
 	flights    []*trace.FlightRecorder
 	registries []*metrics.Registry
 
-	// san holds one invariant checker per shard (one entry total on the
-	// single-kernel path), nil unless cfg.Sanitize. Per-shard checkers
-	// keep the sanitizer lock-free: shards run concurrently but each
-	// checker is only touched by its own shard's events, and the
-	// checkers merge in shard order after the run.
+	// san holds one invariant checker per shard, nil unless
+	// cfg.Sanitize. Per-shard checkers keep the sanitizer lock-free:
+	// shards run concurrently but each checker is only touched by its
+	// own shard's events, and the checkers merge in shard order after
+	// the run.
 	san []*sanitize.Checker
 
 	// sharedKeys is the default scrambled-zipfian chooser, built once and
@@ -118,20 +116,18 @@ func New(cfg Config, specs []ClientSpec) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	var kernels []*sim.Kernel
+	kernels := []*sim.Kernel{k}
 	var group *shard.Group
 	if shards := cfg.Shards; shards > 1 {
 		// Every shard needs at least one node: shard 0 is the data node's,
-		// the rest split the clients round-robin.
+		// the rest split the clients by name hash.
 		if shards > len(specs)+1 {
 			shards = len(specs) + 1
 		}
-		kernels = make([]*sim.Kernel, shards)
-		kernels[0] = k
 		for s := 1; s < shards; s++ {
 			// Distinct deterministic per-shard seeds; shard 0 keeps the
 			// config seed so its RNG stream matches the unsharded kernel's.
-			kernels[s] = sim.New(cfg.Seed + int64(s)*1_000_003)
+			kernels = append(kernels, sim.New(cfg.Seed+int64(s)*1_000_003))
 		}
 		group, err = shard.New(kernels, cfg.Fabric.PropagationDelay, cfg.ShardWorkers)
 		if err != nil {
@@ -181,12 +177,8 @@ func New(cfg Config, specs []ClientSpec) (*Cluster, error) {
 	}
 
 	if cfg.Sanitize {
-		ks := kernels
-		if ks == nil {
-			ks = []*sim.Kernel{k}
-		}
-		c.san = make([]*sanitize.Checker, len(ks))
-		for s, sk := range ks {
+		c.san = make([]*sanitize.Checker, len(kernels))
+		for s, sk := range kernels {
 			c.san[s] = sanitize.New()
 			armEventOrder(sk, s, c.san[s])
 		}
@@ -454,13 +446,12 @@ func (c *Cluster) AddBackgroundJob(name string, window int) (*rdma.BackgroundJob
 }
 
 // sanFor returns shard s's invariant checker, or nil when sanitizing is
-// off (component hooks treat nil as disabled).
+// off (component hooks treat nil as disabled). Every node's shard is in
+// range by construction, so a bad index panics rather than hand one
+// shard's checker to another.
 func (c *Cluster) sanFor(s int) *sanitize.Checker {
 	if c.san == nil {
 		return nil
-	}
-	if s < 0 || s >= len(c.san) {
-		s = 0
 	}
 	return c.san[s]
 }

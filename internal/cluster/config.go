@@ -13,7 +13,6 @@ import (
 	"github.com/haechi-qos/haechi/internal/core"
 	"github.com/haechi-qos/haechi/internal/kvstore"
 	"github.com/haechi-qos/haechi/internal/rdma"
-	"github.com/haechi-qos/haechi/internal/sim"
 	"github.com/haechi-qos/haechi/internal/workload"
 )
 
@@ -139,14 +138,15 @@ type Config struct {
 	// Shards partitions the cluster onto per-shard simulation kernels
 	// that advance concurrently under the conservative quantum protocol
 	// (internal/sim/shard): the data node (with the monitor, store and
-	// background jobs) on shard 0, clients round-robin across the rest.
-	// 0 or 1 runs the classic single-kernel path. Like the profiling
-	// shard count, Shards is part of the experiment definition: a
-	// sharded run is deterministic and replayable but NOT byte-identical
-	// to the unsharded run (cross-shard completions interleave by wire
-	// arrival instead of a shared kernel's global tie order, and
-	// flow-control credits return one propagation later — see DESIGN.md
-	// §9). Clamped to the number of clients + 1.
+	// background jobs) on shard 0, clients spread over the rest by a hash
+	// of their name. 0 or 1 runs every node on one kernel, with no
+	// quantum coordinator; either way Run follows the same schedule.
+	// Like the profiling shard count, Shards is part of the experiment
+	// definition: a sharded run is deterministic and replayable but NOT
+	// byte-identical to the unsharded run (cross-shard completions
+	// interleave by wire arrival instead of a shared kernel's global tie
+	// order, and flow-control credits return one propagation later — see
+	// DESIGN.md §9). Clamped to the number of clients + 1.
 	Shards int
 	// ShardWorkers is the size of the worker pool driving the shards.
 	// Pure concurrency: any value produces byte-identical Results
@@ -198,16 +198,8 @@ func (c Config) ApplyScale() (Config, error) {
 		return c, fmt.Errorf("cluster: Scale must be >= 1, got %v", c.Scale)
 	}
 	if c.Scale > 1 {
-		s := c.Scale
-		c.Fabric = c.Fabric.Scaled(s)
-		c.Params.Tick = clampInterval(sim.Time(float64(c.Params.Tick)*s), c.Params.Period)
-		c.Params.CheckInterval = clampInterval(sim.Time(float64(c.Params.CheckInterval)*s), c.Params.Period)
-		c.Params.ReportInterval = clampInterval(sim.Time(float64(c.Params.ReportInterval)*s), c.Params.Period)
-		if b := int64(float64(c.Params.Batch) / s); b >= 1 {
-			c.Params.Batch = b
-		} else {
-			c.Params.Batch = 1
-		}
+		c.Fabric = c.Fabric.Scaled(c.Scale)
+		c.Params = c.Params.Stretched(c.Scale)
 	}
 	if c.Records == 0 {
 		c.Records = c.Store.Capacity / 2
@@ -231,16 +223,6 @@ func (c Config) ApplyScale() (Config, error) {
 		return c, err
 	}
 	return c, nil
-}
-
-func clampInterval(v, period sim.Time) sim.Time {
-	if v > period/10 {
-		v = period / 10
-	}
-	if v <= 0 {
-		v = 1
-	}
-	return v
 }
 
 // LocalCapacityPerPeriod returns C_L*T for the config's fabric.

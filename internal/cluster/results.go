@@ -69,17 +69,17 @@ type Results struct {
 	// convert back to full-scale equivalents.
 	Scale float64
 	// EventsExecuted is the simulation's total fired-event count at the
-	// end of the run (summed over shard kernels in a sharded run). It is
-	// fully deterministic (part of the byte-identity surface); dividing
-	// it by wall-clock time gives the kernel's events-per-second figure
+	// end of the run, summed over the shard kernels. It is fully
+	// deterministic (part of the byte-identity surface); dividing it by
+	// wall-clock time gives the kernel's events-per-second figure
 	// cmd/haechibench reports.
 	EventsExecuted uint64
 	// Faults is the fault-injection and recovery accounting; nil unless
 	// Config.Chaos armed a scenario. Deterministic (part of the
 	// byte-identity surface).
 	Faults *FaultReport `json:",omitempty"`
-	// Sharding summarizes the sharded-kernel run; nil on the classic
-	// single-kernel path. Deterministic — it never includes the worker
+	// Sharding summarizes the sharded-kernel run; nil unless
+	// Config.Shards > 1. Deterministic — it never includes the worker
 	// count (workers are pure concurrency; see Config.ShardWorkers).
 	Sharding *ShardingReport `json:",omitempty"`
 	// Stages is the per-tenant per-stage latency breakdown from the
@@ -116,10 +116,11 @@ func (c *Cluster) buildResults(measurePeriods int, serverStats rdma.Stats) (*Res
 		MeasuredPeriods: measurePeriods,
 		ServerStats:     serverStats,
 		Scale:           c.cfg.Scale,
-		EventsExecuted:  c.kernel.Executed(),
+	}
+	for _, k := range c.kernels {
+		res.EventsExecuted += k.Executed()
 	}
 	if c.group != nil {
-		res.EventsExecuted = c.group.Executed()
 		res.Sharding = c.shardingReport()
 	}
 	if c.chaos != nil {
@@ -134,8 +135,8 @@ func (c *Cluster) buildResults(measurePeriods int, serverStats rdma.Stats) (*Res
 	}
 	if c.flights != nil {
 		// Merge the per-shard recorders in shard order: the span ring in
-		// (End, shard) order, the stage histograms per actor. Identity on
-		// the single-kernel path.
+		// (End, shard) order, the stage histograms per actor. Identity
+		// for a single shard.
 		fr := trace.MergeFlightRecorders(c.flights...)
 		res.Flight = fr
 		res.Stages = stageRows(fr)

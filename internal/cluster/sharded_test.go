@@ -76,6 +76,47 @@ func TestShardedKernelByteIdenticalBare(t *testing.T) {
 	}
 }
 
+// TestShardedTwoSidedByteIdentical covers the two-sided RPC path on a
+// sharded run: the store answers every GET on a queue pair it opens
+// mid-run on the data node's shard, while the client shards resolve
+// their own station tags concurrently. Under -race this pins that the
+// per-shard queue-pair indexes keep those writes and reads apart, and
+// the Results must still be worker-count independent.
+func TestShardedTwoSidedByteIdentical(t *testing.T) {
+	run := func(workers int) []byte {
+		specs := make([]ClientSpec, 10)
+		for i := range specs {
+			specs[i] = ClientSpec{Pattern: workload.Burst{Window: 64}}
+		}
+		cfg := testConfig(Bare)
+		cfg.TwoSided = true
+		cfg.Seed = 42
+		cfg.Shards = 3
+		cfg.ShardWorkers = workers
+		cl, err := New(cfg, specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := cl.Run(1, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.TotalCompleted == 0 || res.ServerStats.SendsSent == 0 {
+			t.Fatalf("workers=%d: no two-sided traffic (%d completed, %d sends)",
+				workers, res.TotalCompleted, res.ServerStats.SendsSent)
+		}
+		b, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	base := run(1)
+	if got := run(2); !bytes.Equal(base, got) {
+		reportDivergence(t, base, got)
+	}
+}
+
 // TestShardedRunRepeatable pins the sharded path's seed determinism:
 // two identical sharded runs serialize byte-identically, exactly like
 // TestDeterminismByteIdentical does for the single-kernel path.

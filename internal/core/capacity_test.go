@@ -94,6 +94,39 @@ func TestParamsScaled(t *testing.T) {
 	}
 }
 
+func TestParamsStretched(t *testing.T) {
+	base := NewDefaultParams()
+	p := base.Stretched(10)
+	if p.Period != base.Period {
+		t.Errorf("stretched period = %v, want unchanged %v", p.Period, base.Period)
+	}
+	if p.Tick != 10*base.Tick || p.CheckInterval != 10*base.CheckInterval || p.ReportInterval != 10*base.ReportInterval {
+		t.Errorf("intervals not stretched 10x: %v/%v/%v", p.Tick, p.CheckInterval, p.ReportInterval)
+	}
+	if p.Batch != base.Batch/10 {
+		t.Errorf("batch = %d, want %d", p.Batch, base.Batch/10)
+	}
+	// Large factors clamp the intervals to T/10 and floor the batch at 1.
+	q := base.Stretched(1e6)
+	if q.Tick != base.Period/10 || q.CheckInterval != base.Period/10 || q.ReportInterval != base.Period/10 {
+		t.Errorf("intervals not clamped to T/10: %v/%v/%v", q.Tick, q.CheckInterval, q.ReportInterval)
+	}
+	if q.Batch != 1 {
+		t.Errorf("batch = %d, want floor 1", q.Batch)
+	}
+	for _, p := range []Params{p, q} {
+		if err := p.Validate(); err != nil {
+			t.Errorf("stretched params invalid: %v", err)
+		}
+	}
+	// Identity at or below full scale.
+	for _, f := range []float64{1, 0.5, 0, -3} {
+		if got := base.Stretched(f); got != base {
+			t.Errorf("Stretched(%v) changed params: %+v", f, got)
+		}
+	}
+}
+
 func newTestEstimator(t *testing.T, profiled int64, sigma float64) *CapacityEstimator {
 	t.Helper()
 	e, err := NewCapacityEstimator(NewDefaultParams(), profiled, sigma)

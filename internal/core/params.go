@@ -94,6 +94,35 @@ func (p Params) Scaled(factor float64) Params {
 	return s
 }
 
+// Stretched returns the control constants for a fabric whose rates were
+// divided by scale (rdma.Config.Scaled): Tick, CheckInterval and
+// ReportInterval are multiplied by scale and clamped to [1, Period/10],
+// and the FAA batch is divided by scale with a floor of 1. The period is
+// unchanged. This keeps the protocol's dimensionless ratios — control-
+// verb cost per unit of capacity, tokens per batch relative to the
+// pool — equal to the paper's. A scale <= 1 returns p unchanged.
+func (p Params) Stretched(scale float64) Params {
+	if scale <= 1 {
+		return p
+	}
+	stretch := func(v sim.Time) sim.Time {
+		v = sim.Time(float64(v) * scale)
+		if v > p.Period/10 {
+			v = p.Period / 10
+		}
+		if v <= 0 {
+			v = 1
+		}
+		return v
+	}
+	s := p
+	s.Tick = stretch(p.Tick)
+	s.CheckInterval = stretch(p.CheckInterval)
+	s.ReportInterval = stretch(p.ReportInterval)
+	s.Batch = max(int64(float64(p.Batch)/scale), 1)
+	return s
+}
+
 // Validate reports the first invalid parameter, or nil.
 func (p Params) Validate() error {
 	if p.Period <= 0 {

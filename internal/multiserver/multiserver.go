@@ -34,7 +34,7 @@ type Config struct {
 	Fabric rdma.Config
 	Params core.Params
 	// Scale divides fabric rates and rescales control constants, as
-	// cluster.Config.ApplyScale does.
+	// cluster.Config.ApplyScale does (0 means 1; below 1 is an error).
 	Scale float64
 	// RecordsPerServer is the number of records populated on each shard.
 	RecordsPerServer int
@@ -115,23 +115,12 @@ func (c Config) normalize() (Config, error) {
 	if c.Scale == 0 {
 		c.Scale = 1
 	}
+	if c.Scale < 1 {
+		return c, fmt.Errorf("multiserver: Scale must be >= 1, got %v", c.Scale)
+	}
 	if c.Scale > 1 {
 		c.Fabric = c.Fabric.Scaled(c.Scale)
-		if b := int64(float64(c.Params.Batch) / c.Scale); b >= 1 {
-			c.Params.Batch = b
-		} else {
-			c.Params.Batch = 1
-		}
-		stretch := func(v sim.Time) sim.Time {
-			v = sim.Time(float64(v) * c.Scale)
-			if v > c.Params.Period/10 {
-				v = c.Params.Period / 10
-			}
-			return v
-		}
-		c.Params.Tick = stretch(c.Params.Tick)
-		c.Params.CheckInterval = stretch(c.Params.CheckInterval)
-		c.Params.ReportInterval = stretch(c.Params.ReportInterval)
+		c.Params = c.Params.Stretched(c.Scale)
 	}
 	if c.RecordsPerServer == 0 {
 		c.RecordsPerServer = 1024

@@ -29,6 +29,13 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(cfg, []ClientSpec{{}}); err == nil {
 		t.Error("invalid rebalance step accepted")
 	}
+	for _, scale := range []float64{0.5, -3} {
+		cfg := testConfig(2)
+		cfg.Scale = scale
+		if _, err := New(cfg, []ClientSpec{{}}); err == nil {
+			t.Errorf("Scale %v accepted", scale)
+		}
+	}
 	if _, err := New(testConfig(2), []ClientSpec{{TotalReservation: -1}}); err == nil {
 		t.Error("negative reservation accepted")
 	}

@@ -123,7 +123,7 @@ func (n *Node) qpPenalty(qpID int) float64 {
 // per-stage callbacks and station completions dispatch through a dense
 // table instead of per-object funcs.
 func (n *Node) dispatchTag(tag uint32) {
-	qp := n.fabric.qps[tag>>stageBits]
+	qp := n.fabric.qps[n.shard][tag>>stageBits]
 	switch tag & stageMask {
 	case stageCtrlInit:
 		qp.ctrlInitDone()
@@ -206,28 +206,32 @@ type Fabric struct {
 	nodes []*Node
 
 	// nodeChunks and qpChunks are the slab backing stores for nodes and
-	// queue pairs (see the chunk-size constants); byName indexes nodes for
-	// O(1) duplicate detection and lookup, and qps indexes queue pairs by
-	// their dense 1-based id (qps[0] is nil) for tag dispatch. All four
-	// grow only during setup: on a sharded fabric, nodes and connections
-	// must exist before the run starts (the assignment is fixed at
-	// EnableSharding time), so concurrent shard kernels only ever read
-	// these slices.
+	// queue pairs (see the chunk-size constants), and byName indexes nodes
+	// for O(1) duplicate detection and lookup. Nodes exist before the run
+	// starts (the assignment is fixed at EnableSharding time). Queue pairs
+	// may also open mid-run — the store answers each two-sided RPC on a
+	// fresh one — but only from the initiator's shard, and that is always
+	// shard 0 (the data node's), so the slabs keep one writer.
 	nodeChunks [][]Node
 	qpChunks   [][]QP
 	byName     map[string]*Node
-	qps        []*QP
+	// qps[s] indexes the queue pairs with a pipeline stage on shard s by
+	// their dense 1-based id, for tag dispatch (id 0 and the ids of other
+	// shards' queue pairs are nil). Shard s's index is written only by
+	// shard s's kernel or during setup — the initiator's shard at Connect,
+	// the target's at a cross-shard QP's first arrival — so a queue pair
+	// opened mid-run never races another shard's tag lookups.
+	qps [][]*QP
 
-	// flights holds one flight recorder per shard (one entry when
-	// unsharded), or nil when recording is off. Each recorder receives
-	// spans only from code running on its shard's kernel — Begin on the
-	// initiator's shard, Finish on the shard of the stamping site — so
-	// concurrent shards never share a recorder. Recording only stamps
+	// flights holds one flight recorder per shard, or nil when recording
+	// is off. Each recorder receives spans only from code running on its
+	// shard's kernel — Begin on the initiator's shard, Finish on the shard
+	// of the stamping site — so concurrent shards never share a recorder. Recording only stamps
 	// timestamps inside callbacks the fabric executes anyway, so the
 	// kernel event sequence is unchanged (DESIGN.md §7, §11).
 	flights []*trace.FlightRecorder
-	// profs holds one attribution profile per shard (one entry when
-	// unsharded); always non-nil. See ExecProfile.
+	// profs holds one attribution profile per shard; always non-nil.
+	// See ExecProfile.
 	profs []*ExecProfile
 	// qpSeq numbers queue pairs in creation order; the id is the span
 	// track within the initiator's process in Chrome trace exports
@@ -235,9 +239,11 @@ type Fabric struct {
 	// directly).
 	qpSeq int
 
-	// Sharded mode (see EnableSharding): shardKernels[s] drives shard s,
-	// assign maps a node name to its shard, and post hands a cross-shard
-	// event to the coordinator's mailboxes. All nil when unsharded.
+	// shardKernels[s] drives shard s and assign maps a node name to its
+	// shard: one kernel and an everything-on-shard-0 assignment until
+	// EnableSharding replaces them. post hands a cross-shard event to
+	// the coordinator's mailboxes; nil when unsharded, where no queue
+	// pair crosses shards.
 	shardKernels []*sim.Kernel
 	assign       func(name string, kind NodeKind) int
 	post         func(src, dst int, at sim.Time, fn func())
@@ -253,11 +259,13 @@ func NewFabric(k *sim.Kernel, cfg Config) (*Fabric, error) {
 		return nil, err
 	}
 	return &Fabric{
-		k:      k,
-		cfg:    cfg,
-		profs:  []*ExecProfile{{}},
-		byName: make(map[string]*Node),
-		qps:    []*QP{nil},
+		k:            k,
+		cfg:          cfg,
+		profs:        []*ExecProfile{{}},
+		byName:       make(map[string]*Node),
+		qps:          make([][]*QP, 1),
+		shardKernels: []*sim.Kernel{k},
+		assign:       func(string, NodeKind) int { return 0 },
 	}, nil
 }
 
@@ -265,9 +273,6 @@ func NewFabric(k *sim.Kernel, cfg Config) (*Fabric, error) {
 // sharding this is shard 0's kernel (the one NewFabric was given);
 // per-node work must use Node.Kernel instead.
 func (f *Fabric) Kernel() *sim.Kernel { return f.k }
-
-// Sharded reports whether EnableSharding has been called.
-func (f *Fabric) Sharded() bool { return f.shardKernels != nil }
 
 // EnableSharding switches the fabric to sharded mode: each node is
 // built on the shard kernel assign selects for it, and cross-shard
@@ -291,6 +296,7 @@ func (f *Fabric) EnableSharding(kernels []*sim.Kernel, assign func(name string, 
 	f.shardKernels = kernels
 	f.assign = assign
 	f.post = post
+	f.qps = make([][]*QP, len(kernels))
 	f.profs = make([]*ExecProfile, len(kernels))
 	for s := range f.profs {
 		f.profs[s] = &ExecProfile{}
@@ -298,51 +304,27 @@ func (f *Fabric) EnableSharding(kernels []*sim.Kernel, assign func(name string, 
 	return nil
 }
 
-// SetFlightRecorder attaches (or, with nil, detaches) a single flight
-// recorder that will receive a span for every verb initiated from now
-// on. On a sharded fabric with more than one shard this would give the
-// recorder concurrent writers; use SetFlightRecorders there.
-func (f *Fabric) SetFlightRecorder(fr *trace.FlightRecorder) {
-	if fr == nil {
-		f.flights = nil
-	} else {
-		f.flights = []*trace.FlightRecorder{fr}
-	}
-	f.reattachFlights()
-}
-
-// SetFlightRecorders attaches one flight recorder per shard. Each
-// recorder is only ever touched by code running on its shard's kernel
-// (spans begin on the initiator's recorder and finish on the recorder
-// of the shard executing the final stamp), so shards may run
-// concurrently without locks.
+// SetFlightRecorders attaches one flight recorder per shard, or
+// detaches them all with nil. Each recorder receives a span for every
+// verb initiated from now on, and is only ever touched by code running
+// on its shard's kernel (spans begin on the initiator's recorder and
+// finish on the recorder of the shard executing the final stamp), so
+// shards may run concurrently without locks.
 func (f *Fabric) SetFlightRecorders(frs []*trace.FlightRecorder) error {
-	want := 1
-	if f.shardKernels != nil {
-		want = len(f.shardKernels)
-	}
-	if len(frs) != want {
-		return fmt.Errorf("rdma: SetFlightRecorders: got %d recorders for %d shards", len(frs), want)
+	if frs != nil && len(frs) != len(f.shardKernels) {
+		return fmt.Errorf("rdma: SetFlightRecorders: got %d recorders for %d shards", len(frs), len(f.shardKernels))
 	}
 	f.flights = frs
-	f.reattachFlights()
-	return nil
-}
-
-// reattachFlights refreshes each node's cached shard recorder.
-func (f *Fabric) reattachFlights() {
 	for _, n := range f.nodes {
 		n.flight = f.flightFor(n.shard)
 	}
+	return nil
 }
 
 // flightFor returns shard s's recorder, or nil when recording is off.
 func (f *Fabric) flightFor(s int) *trace.FlightRecorder {
 	if f.flights == nil {
 		return nil
-	}
-	if len(f.flights) == 1 {
-		return f.flights[0]
 	}
 	return f.flights[s]
 }
@@ -391,15 +373,9 @@ func (f *Fabric) addNode(name string, kind NodeKind) (*Node, error) {
 	if kind != ClientNode && kind != ServerNode {
 		return nil, fmt.Errorf("rdma: unknown node kind %v", kind)
 	}
-	shard := 0
-	k := f.k
-	if f.shardKernels != nil {
-		s := f.assign(name, kind)
-		if s < 0 || s >= len(f.shardKernels) {
-			return nil, fmt.Errorf("rdma: node %q assigned to shard %d, have %d shards", name, s, len(f.shardKernels))
-		}
-		shard = s
-		k = f.shardKernels[s]
+	shard := f.assign(name, kind)
+	if shard < 0 || shard >= len(f.shardKernels) {
+		return nil, fmt.Errorf("rdma: node %q assigned to shard %d, have %d shards", name, shard, len(f.shardKernels))
 	}
 	// Allocate the node out of the current slab chunk; chunks never grow
 	// past their fixed capacity, so &chunk[i] stays valid forever.
@@ -412,7 +388,7 @@ func (f *Fabric) addNode(name string, kind NodeKind) (*Node, error) {
 		name:    name,
 		kind:    kind,
 		id:      len(f.byName),
-		k:       k,
+		k:       f.shardKernels[shard],
 		shard:   shard,
 		regions: make(map[string]*Region),
 	})
@@ -453,17 +429,12 @@ func (f *Fabric) NodeByName(name string) (*Node, bool) {
 	return n, ok
 }
 
-// SetSanitizers attaches one invariant checker per shard (a single entry
-// when unsharded) to the fabric's structural checks, or detaches them
-// with nil. Must be called after the nodes exist and before the run
-// starts.
+// SetSanitizers attaches one invariant checker per shard to the
+// fabric's structural checks, or detaches them with nil. Must be called
+// after the nodes exist and before the run starts.
 func (f *Fabric) SetSanitizers(cs []*sanitize.Checker) error {
-	want := 1
-	if f.shardKernels != nil {
-		want = len(f.shardKernels)
-	}
-	if cs != nil && len(cs) != want {
-		return fmt.Errorf("rdma: SetSanitizers: got %d checkers for %d shards", len(cs), want)
+	if cs != nil && len(cs) != len(f.shardKernels) {
+		return fmt.Errorf("rdma: SetSanitizers: got %d checkers for %d shards", len(cs), len(f.shardKernels))
 	}
 	for _, n := range f.nodes {
 		if cs == nil {
@@ -476,9 +447,10 @@ func (f *Fabric) SetSanitizers(cs []*sanitize.Checker) error {
 }
 
 // Connect creates a queue pair from initiator to target. Queue pairs are
-// slab-allocated and indexed by their dense id for tag dispatch; on a
-// sharded fabric all connections must be made before the run starts (the
-// index is then read concurrently by the shard kernels).
+// slab-allocated and indexed by their dense id for tag dispatch. On a
+// sharded fabric a mid-run Connect must come from shard 0, the data
+// node's: the slabs and the id counter are fabric-wide and keep one
+// writer that way.
 func (f *Fabric) Connect(initiator, target *Node) (*QP, error) {
 	if initiator == nil || target == nil {
 		return nil, fmt.Errorf("rdma: Connect requires two non-nil nodes")
@@ -497,12 +469,23 @@ func (f *Fabric) Connect(initiator, target *Node) (*QP, error) {
 		initiator: initiator,
 		target:    target,
 		window:    f.cfg.FlowControlWindow,
-		cross:     initiator.shard != target.shard && f.post != nil,
+		cross:     initiator.shard != target.shard,
 	})
 	qp := &(*chunk)[len(*chunk)-1]
 	qp.bindStages()
-	f.qps = append(f.qps, qp)
+	f.indexQP(initiator.shard, qp)
 	return qp, nil
+}
+
+// indexQP makes qp resolvable from station tags dispatched on shard s.
+// Must run on shard s's kernel or during setup.
+func (f *Fabric) indexQP(s int, qp *QP) {
+	idx := f.qps[s]
+	for len(idx) <= qp.id {
+		idx = append(idx, nil)
+	}
+	idx[qp.id] = qp
+	f.qps[s] = idx
 }
 
 // wireStorm is a jitter window on every wire hop: while the virtual

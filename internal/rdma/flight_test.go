@@ -17,7 +17,9 @@ func TestFlightSpansThroughPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.SetFlightRecorder(fr)
+	if err := f.SetFlightRecorders([]*trace.FlightRecorder{fr}); err != nil {
+		t.Fatal(err)
+	}
 	if f.FlightRecorder() != fr {
 		t.Fatal("FlightRecorder accessor disagrees")
 	}
@@ -124,7 +126,9 @@ func TestFlightSendSpan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.SetFlightRecorder(fr)
+	if err := f.SetFlightRecorders([]*trace.FlightRecorder{fr}); err != nil {
+		t.Fatal(err)
+	}
 	var got int
 	server.SetRecvHandler(func(from *Node, payload any) { got++ })
 	qp, err := f.Connect(client, server)

@@ -362,11 +362,13 @@ func (qp *QP) ctrlArriveOp(op flowOp) {
 // noteArrival counts an op against the target's verb stats. Same-shard
 // QPs count at post time (the historical and still-default accounting
 // instant); cross-shard QPs must count here, on the target's shard, so
-// the counters have a single writer.
+// the counters have a single writer. A cross-shard QP also joins the
+// target shard's tag index here, before its first target-side stage.
 func (qp *QP) noteArrival(op flowOp) {
 	if !qp.cross {
 		return
 	}
+	qp.fabric.indexQP(qp.target.shard, qp)
 	if op.kind == opSend {
 		qp.target.stats.SendsReceived++
 	} else {
