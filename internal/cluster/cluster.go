@@ -310,38 +310,30 @@ func (c *Cluster) addClient(i int, spec ClientSpec) error {
 
 	// The data path: one-sided GET (or two-sided RPC for the comparison
 	// curves), with a fraction of one-sided record WRITEs when the spec
-	// requests a YCSB-style update mix. The per-client adapter queues the
-	// done callback and hands kv a completion method bound once, so a
-	// steady-state I/O allocates no closure. Update state is lazy: a pure
-	// GET tenant (the fleet default) carries no per-client RNG or value
-	// buffer.
-	ad := &ioAdapter{}
-	ad.onGetFn = func([]byte, error) { ad.complete() }
-	ad.onPutFn = func(error) { ad.complete() }
+	// requests a YCSB-style update mix. The per-client tickets FIFO is the
+	// only record of an in-flight request; in Bare mode it completes into
+	// the generator, in QoS modes into the engine. Update state is lazy: a
+	// pure GET tenant (the fleet default) carries no per-client RNG or
+	// value buffer.
+	tk := kvstore.NewTickets(kv)
+	tk.Done = func(ticket uint32) { rt.Gen.Complete(ticket) }
 	var rng *rand.Rand
 	var updateValue []byte
 	if spec.UpdateFraction > 0 {
 		rng = rand.New(rand.NewSource(c.cfg.Seed ^ int64(i)<<17))
 		updateValue = make([]byte, c.cfg.Store.RecordSize)
 	}
-	sender := func(key uint64, done func()) {
-		ad.push(done)
-		var err error
+	// A failed issue drops its ticket (errors cannot occur for primed
+	// in-range keys).
+	sender := func(key uint64, ticket uint32) {
 		switch {
 		case c.cfg.TwoSided:
-			err = kv.GetTwoSided(key, ad.onGetFn)
+			_ = tk.GetTwoSided(key, ticket)
 		case updateValue != nil && rng.Float64() < spec.UpdateFraction:
 			updateValue[0] = byte(key)
-			err = kv.Update(key, updateValue, ad.onPutFn)
+			_ = tk.Update(key, updateValue, ticket)
 		default:
-			err = kv.Get(key, ad.onGetFn)
-		}
-		if err != nil {
-			// The kv layer never invokes the callback when it returns an
-			// error, so the just-pushed done is still the newest entry.
-			// Dropping it preserves the old behaviour (errors cannot occur
-			// for primed in-range keys).
-			ad.unpush()
+			_ = tk.Get(key, ticket)
 		}
 	}
 
@@ -353,12 +345,13 @@ func (c *Cluster) addClient(i int, spec ClientSpec) error {
 		if err != nil {
 			return err
 		}
-		engine, err := core.NewEngine(c.cfg.Params, grant, node, disp, spec.Limit, core.IOSender(sender))
+		engine, err := core.NewEngine(c.cfg.Params, grant, node, disp, spec.Limit, sender, tk.Done)
 		if err != nil {
 			return err
 		}
 		rt.Engine = engine
 		engine.SetSanitizer(c.sanFor(node.Shard()))
+		tk.Done = engine.Complete
 		submit = engine.Request
 	}
 
@@ -551,38 +544,6 @@ func (c *Cluster) EnableTrace(capacity int) (*trace.Recorder, error) {
 		}
 	}
 	return rec, nil
-}
-
-// ioAdapter bridges one client's kv completions back to workload done
-// callbacks without a per-I/O closure. All of a client's data I/Os ride
-// one QP in one service class (GETs and record WRITEs are both bulk;
-// two-sided responses are served FIFO by the server CPU), so completions
-// arrive in issue order and the oldest pending done always matches.
-type ioAdapter struct {
-	pending []func()
-	head    int
-	onGetFn func([]byte, error)
-	onPutFn func(error)
-}
-
-func (a *ioAdapter) push(done func()) { a.pending = append(a.pending, done) }
-
-// unpush removes the most recently pushed entry (issue-error path only).
-func (a *ioAdapter) unpush() { a.pending = a.pending[:len(a.pending)-1] }
-
-func (a *ioAdapter) complete() {
-	done := a.pending[a.head]
-	a.pending[a.head] = nil
-	a.head++
-	if a.head >= len(a.pending) {
-		a.pending = a.pending[:0]
-		a.head = 0
-	} else if a.head > 64 && a.head*2 > len(a.pending) {
-		n := copy(a.pending, a.pending[a.head:])
-		a.pending = a.pending[:n]
-		a.head = 0
-	}
-	done()
 }
 
 // fnv32 is FNV-1a over the node name, used for stable shard placement.

@@ -11,9 +11,10 @@ import (
 )
 
 // IOSender performs the actual one-sided data I/O once the engine has a
-// token for it (e.g. a kvstore one-sided GET). done must fire exactly once
-// at I/O completion.
-type IOSender func(key uint64, done func())
+// token for it (e.g. a kvstore one-sided GET). The I/O's owner calls
+// Engine.Complete(ticket) exactly once, when it completes; the engine
+// keeps no record of in-flight tickets (DESIGN.md §8.4).
+type IOSender func(key uint64, ticket uint32)
 
 // ClientGrant is what admission hands a client: its identity and the
 // capabilities needed to participate in the protocol.
@@ -26,10 +27,10 @@ type ClientGrant struct {
 	QoSRegion *rdma.Region
 }
 
-// pendingReq is a request waiting for a token.
+// pendingReq is a queued request; it holds no pointer for the GC to scan.
 type pendingReq struct {
-	key  uint64
-	done func()
+	key    uint64
+	ticket uint32
 }
 
 // Engine is the client-side QoS engine (Section II-D): it admits
@@ -47,6 +48,7 @@ type Engine struct {
 	qos       *rdma.Region
 	reportOff int
 	sender    IOSender
+	complete  func(ticket uint32) // hands finished tickets upstream
 
 	// Period state.
 	periodIndex int
@@ -71,19 +73,11 @@ type Engine struct {
 
 	// sendQ holds token-backed I/Os awaiting a send-queue slot; inflight
 	// counts I/Os posted to the NIC and not yet completed, bounded by
-	// Params.SendQueueDepth.
+	// Params.SendQueueDepth. inflight deliberately survives Crash: I/Os
+	// on the wire may legally complete.
 	sendQ    []pendingReq
 	sendHead int
 	inflight int
-
-	// inflightDone holds the completion callbacks of posted I/Os in post
-	// order. The engine's data I/Os all ride one queue pair in one service
-	// class, so completions are FIFO (the IOSender contract) and each
-	// completion pops the oldest callback through the bound onIODoneFn —
-	// posting an I/O allocates nothing. The FIFO deliberately survives
-	// Crash: in-flight I/Os were on the wire and may legally complete.
-	inflightDone fnFIFO
-	onIODoneFn   func()
 
 	// Bound callbacks and their per-issue state, created once so the
 	// steady-state token path (claims, probes, retries, reports) schedules
@@ -177,15 +171,16 @@ type Engine struct {
 
 // NewEngine creates and starts a QoS engine on node for the admitted
 // client described by grant. limit is L_i, the per-period request cap
-// (0 = unlimited). sender performs the one-sided data I/O. disp is the
+// (0 = unlimited). sender performs the one-sided data I/O, and complete
+// receives each request's ticket once its I/O completes. disp is the
 // client node's dispatcher, used to receive the monitor's control
 // messages.
-func NewEngine(params Params, grant ClientGrant, node *rdma.Node, disp *rdma.Dispatcher, limit int64, sender IOSender) (*Engine, error) {
+func NewEngine(params Params, grant ClientGrant, node *rdma.Node, disp *rdma.Dispatcher, limit int64, sender IOSender, complete func(ticket uint32)) (*Engine, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	if node == nil || disp == nil || sender == nil {
-		return nil, fmt.Errorf("core: NewEngine requires node, dispatcher and sender")
+	if node == nil || disp == nil || sender == nil || complete == nil {
+		return nil, fmt.Errorf("core: NewEngine requires node, dispatcher, sender and complete")
 	}
 	if grant.ServerNode == nil || grant.QoSRegion == nil {
 		return nil, fmt.Errorf("core: NewEngine requires a complete grant (was the client admitted?)")
@@ -207,6 +202,7 @@ func NewEngine(params Params, grant ClientGrant, node *rdma.Node, disp *rdma.Dis
 		qos:       grant.QoSRegion,
 		reportOff: reportSlotOffset(grant.ID),
 		sender:    sender,
+		complete:  complete,
 	}
 	// Handlers are scoped to this engine's data node, so several engines
 	// (one per server in a multi-server deployment) can share one client
@@ -220,7 +216,6 @@ func NewEngine(params Params, grant ClientGrant, node *rdma.Node, disp *rdma.Dis
 	if err := disp.HandleFrom(msgAlert, grant.ServerNode, e.handleAlert); err != nil {
 		return nil, err
 	}
-	e.onIODoneFn = e.onIODone
 	e.reportFn = e.report
 	e.onFAAFn = e.onFAA
 	e.onProbeFn = e.onProbe
@@ -238,12 +233,12 @@ func (e *Engine) ID() int { return e.id }
 // Request submits one application I/O. It is served as soon as the engine
 // holds a token for it; otherwise it queues ("The I/O sender function in
 // the QoS engine will reject I/Os that are not backed by a token").
-func (e *Engine) Request(key uint64, done func()) {
+func (e *Engine) Request(key uint64, ticket uint32) {
 	if e.crashed {
 		return
 	}
 	e.totalRequested++
-	e.queue = append(e.queue, pendingReq{key: key, done: done})
+	e.queue = append(e.queue, pendingReq{key: key, ticket: ticket})
 	e.drain()
 }
 
@@ -351,8 +346,7 @@ func (e *Engine) Restart() error {
 	w := PackReport(0, clampUint32(e.completed)|recoveryFlag)
 	if err := e.qp.WriteUint64(e.qos, e.reportOff, w, nil); err == nil {
 		e.reportsSent++
-		e.Trace.Record(trace.Event{At: e.k.Now(), Kind: trace.Report, Actor: e.actor(),
-			A: 0, B: e.completed})
+		e.record(trace.Report, 0, e.completed)
 	}
 	return nil
 }
@@ -450,7 +444,7 @@ func (e *Engine) drain() {
 		if e.limit > 0 && e.dispatched >= e.limit {
 			// Limit reached: throttle until the next period.
 			e.limitThrottled++
-			e.Trace.Record(trace.Event{At: e.k.Now(), Kind: trace.LimitThrottle, Actor: e.actor(), A: e.limit})
+			e.record(trace.LimitThrottle, e.limit, 0)
 			return
 		}
 		switch {
@@ -474,7 +468,6 @@ func (e *Engine) drain() {
 			return
 		}
 		req := e.queue[e.head]
-		e.queue[e.head] = pendingReq{} // release references
 		e.head++
 		e.dispatched++
 		e.sendQ = append(e.sendQ, req)
@@ -486,10 +479,9 @@ func (e *Engine) drain() {
 func (e *Engine) pump() {
 	for e.inflight < e.params.SendQueueDepth && e.sendHead < len(e.sendQ) {
 		req := e.sendQ[e.sendHead]
-		e.sendQ[e.sendHead] = pendingReq{}
 		e.sendHead++
 		e.inflight++
-		e.fire(req)
+		e.sender(req.key, req.ticket)
 	}
 	e.sendQ, e.sendHead = compact(e.sendQ, e.sendHead)
 }
@@ -506,15 +498,9 @@ func compact(q []pendingReq, head int) ([]pendingReq, int) {
 	return q, head
 }
 
-func (e *Engine) fire(req pendingReq) {
-	e.inflightDone.push(req.done)
-	e.sender(req.key, e.onIODoneFn)
-}
-
-// onIODone completes the oldest in-flight I/O (IOSender completions are
-// FIFO per engine: all data I/Os ride one QP in one service class).
-func (e *Engine) onIODone() {
-	done := e.inflightDone.pop()
+// Complete finishes the posted I/O holding ticket and passes the ticket
+// upstream.
+func (e *Engine) Complete(ticket uint32) {
 	e.inflight--
 	if e.crashed {
 		// I/Os on the wire at crash time complete at the server
@@ -522,12 +508,12 @@ func (e *Engine) onIODone() {
 		// completion beyond that in-flight count is a protocol
 		// violation.
 		e.noteCrashedCompletion()
-		done()
+		e.complete(ticket)
 		return
 	}
 	e.completed++
 	e.totalCompleted++
-	done()
+	e.complete(ticket)
 	e.pump()
 }
 
@@ -594,13 +580,13 @@ func (e *Engine) onFAA(old int64) {
 		// the monitor to convert tokens or for the next period. The
 		// tick keeps probing while demand is pending.
 		e.poolExhausted = true
-		e.Trace.Record(trace.Event{At: e.k.Now(), Kind: trace.Probe, Actor: e.actor(), A: old})
+		e.record(trace.Probe, old, 0)
 		return
 	}
 	if e.faaProbe {
 		// The probe found tokens: switch back to claiming.
 		e.poolExhausted = false
-		e.Trace.Record(trace.Event{At: e.k.Now(), Kind: trace.Probe, Actor: e.actor(), A: old})
+		e.record(trace.Probe, old, 0)
 		e.ensureFAA()
 		return
 	}
@@ -615,7 +601,7 @@ func (e *Engine) onFAA(old int64) {
 		e.poolExhausted = true
 	}
 	e.localGlobal += granted
-	e.Trace.Record(trace.Event{At: e.k.Now(), Kind: trace.Claim, Actor: e.actor(), A: old, B: granted})
+	e.record(trace.Claim, old, granted)
 	e.drain()
 }
 
@@ -656,7 +642,7 @@ func (e *Engine) onTick() {
 			e.tokensReturned += y
 			returned = y
 		}
-		e.Trace.Record(trace.Event{At: e.k.Now(), Kind: trace.Yield, Actor: e.actor(), A: y, B: returned})
+		e.record(trace.Yield, y, returned)
 	}
 	if e.degraded {
 		if e.Pending() > 0 && e.k.Now() >= e.nextProbeAt {
@@ -706,7 +692,7 @@ func (e *Engine) probePool() {
 // onProbe completes a degraded-mode pool heartbeat.
 func (e *Engine) onProbe(old int64) {
 	e.faaInFlight = false
-	e.Trace.Record(trace.Event{At: e.k.Now(), Kind: trace.Probe, Actor: e.actor(), A: old})
+	e.record(trace.Probe, old, 0)
 }
 
 // leaveDegraded closes a degraded-mode window and accounts its duration.
@@ -724,13 +710,17 @@ func (e *Engine) report() {
 	w := PackReport(clampUint32(e.resTokens), clampUint32(e.completed))
 	if err := e.qp.WriteUint64(e.qos, e.reportOff, w, nil); err == nil {
 		e.reportsSent++
-		e.Trace.Record(trace.Event{At: e.k.Now(), Kind: trace.Report, Actor: e.actor(),
-			A: e.resTokens, B: e.completed})
+		e.record(trace.Report, e.resTokens, e.completed)
 	}
 }
 
-// actor names the engine in trace events.
-func (e *Engine) actor() string { return fmt.Sprintf("engine-%d", e.id) }
+// record logs a protocol event when tracing is on. The actor name is
+// built only then, so an untraced engine allocates nothing here.
+func (e *Engine) record(kind trace.Kind, a, b int64) {
+	if e.Trace != nil {
+		e.Trace.Record(trace.Event{At: e.k.Now(), Kind: kind, Actor: fmt.Sprintf("engine-%d", e.id), A: a, B: b})
+	}
+}
 
 // SetSanitizer installs the invariant checker consulted at each period
 // rollover. Nil (the default) disables the checks; the event path then
@@ -855,29 +845,4 @@ func (e *Engine) handleAlert(_ *rdma.Node, body any) {
 	if e.OnAlert != nil {
 		e.OnAlert(m.ConsecutivePeriods)
 	}
-}
-
-// fnFIFO is a queue of callbacks backed by a reusable slice; pop compacts
-// lazily so steady-state traffic stops allocating once the buffer reaches
-// its high-water mark (the pooled-FIFO idiom shared with sim and rdma).
-type fnFIFO struct {
-	fns  []func()
-	head int
-}
-
-func (q *fnFIFO) push(fn func()) { q.fns = append(q.fns, fn) }
-
-func (q *fnFIFO) pop() func() {
-	fn := q.fns[q.head]
-	q.fns[q.head] = nil
-	q.head++
-	if q.head >= len(q.fns) {
-		q.fns = q.fns[:0]
-		q.head = 0
-	} else if q.head > 64 && q.head*2 > len(q.fns) {
-		n := copy(q.fns, q.fns[q.head:])
-		q.fns = q.fns[:n]
-		q.head = 0
-	}
-	return fn
 }

@@ -64,11 +64,14 @@ func (b *burstLoop) fill() {
 	for b.outstanding < b.window && b.issued < b.target {
 		b.issued++
 		b.outstanding++
-		b.e.Request(uint64(b.issued), func() {
-			b.outstanding--
-			b.fill()
-		})
+		b.e.Request(uint64(b.issued), uint32(b.issued))
 	}
+}
+
+// complete is the engine's upstream completion: one request finished.
+func (b *burstLoop) complete(uint32) {
+	b.outstanding--
+	b.fill()
 }
 
 // newQoSHarness builds a data node plus one engine per reservation; each
@@ -124,16 +127,18 @@ func newQoSHarnessSigma(t *testing.T, params Params, reservations []int64, deman
 		if err != nil {
 			t.Fatal(err)
 		}
-		sender := func(key uint64, done func()) {
-			if err := qp.Read(data, 0, rdma.DataIOSize, func([]byte) { done() }); err != nil {
+		var eng *Engine
+		sender := func(key uint64, ticket uint32) {
+			if err := qp.Read(data, 0, rdma.DataIOSize, func([]byte) { eng.Complete(ticket) }); err != nil {
 				t.Fatalf("read failed: %v", err)
 			}
 		}
-		eng, err := NewEngine(params, grant, node, disp, 0, sender)
+		drv := &burstLoop{window: 1 << 30, demand: func(p int) int { return demand(i, p) }}
+		eng, err = NewEngine(params, grant, node, disp, 0, sender, drv.complete)
 		if err != nil {
 			t.Fatal(err)
 		}
-		drv := &burstLoop{e: eng, window: 1 << 30, demand: func(p int) int { return demand(i, p) }}
+		drv.e = eng
 		eng.OnPeriodStart = drv.begin
 		h.engines = append(h.engines, eng)
 		h.drivers = append(h.drivers, drv)
@@ -171,22 +176,26 @@ func TestEngineValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sender := func(uint64, func()) {}
-	if _, err := NewEngine(NewDefaultParams(), grant, nil, disp, 0, sender); err == nil {
+	sender := func(uint64, uint32) {}
+	complete := func(uint32) {}
+	if _, err := NewEngine(NewDefaultParams(), grant, nil, disp, 0, sender, complete); err == nil {
 		t.Error("nil node accepted")
 	}
-	if _, err := NewEngine(NewDefaultParams(), ClientGrant{}, client, disp, 0, sender); err == nil {
+	if _, err := NewEngine(NewDefaultParams(), ClientGrant{}, client, disp, 0, sender, complete); err == nil {
 		t.Error("empty grant accepted")
 	}
-	if _, err := NewEngine(NewDefaultParams(), grant, client, disp, -1, sender); err == nil {
+	if _, err := NewEngine(NewDefaultParams(), grant, client, disp, -1, sender, complete); err == nil {
 		t.Error("negative limit accepted")
 	}
-	if _, err := NewEngine(NewDefaultParams(), grant, client, disp, 0, nil); err == nil {
+	if _, err := NewEngine(NewDefaultParams(), grant, client, disp, 0, nil, complete); err == nil {
 		t.Error("nil sender accepted")
+	}
+	if _, err := NewEngine(NewDefaultParams(), grant, client, disp, 0, sender, nil); err == nil {
+		t.Error("nil complete accepted")
 	}
 	bad := NewDefaultParams()
 	bad.Batch = 0
-	if _, err := NewEngine(bad, grant, client, disp, 0, sender); err == nil {
+	if _, err := NewEngine(bad, grant, client, disp, 0, sender, complete); err == nil {
 		t.Error("invalid params accepted")
 	}
 }
@@ -388,15 +397,17 @@ func TestLimitEnforced(t *testing.T) {
 		t.Fatal(err)
 	}
 	qp, _ := f.Connect(node, server)
-	sender := func(key uint64, done func()) {
-		_ = qp.Read(data, 0, rdma.DataIOSize, func([]byte) { done() })
+	var eng *Engine
+	sender := func(key uint64, ticket uint32) {
+		_ = qp.Read(data, 0, rdma.DataIOSize, func([]byte) { eng.Complete(ticket) })
 	}
 	const limit = 1200
-	eng, err := NewEngine(params, grant, node, disp, limit, sender)
+	drv := &burstLoop{window: 1 << 30, demand: func(int) int { return 3000 }}
+	eng, err = NewEngine(params, grant, node, disp, limit, sender, drv.complete)
 	if err != nil {
 		t.Fatal(err)
 	}
-	drv := &burstLoop{e: eng, window: 1 << 30, demand: func(int) int { return 3000 }}
+	drv.e = eng
 	eng.OnPeriodStart = drv.begin
 	if err := mon.Start(); err != nil {
 		t.Fatal(err)

@@ -235,6 +235,9 @@ func (mc *Cluster) addClient(i int, spec ClientSpec) error {
 	}
 	disp := rdma.NewDispatcher(node)
 
+	// The generator is built after the engines, which complete into it.
+	var gen *workload.Generator
+	complete := func(ticket uint32) { gen.Complete(ticket) }
 	cl := &client{
 		spec:         spec,
 		node:         node,
@@ -251,15 +254,17 @@ func (mc *Cluster) addClient(i int, spec ClientSpec) error {
 		if err != nil {
 			return err
 		}
-		sender := func(key uint64, done func()) {
-			_ = kv.Get(key, func([]byte, error) { done() })
-		}
+		// Completions are FIFO per engine (one QP each) but cross between
+		// engines, which the generator's ticket pool allows.
+		tk := kvstore.NewTickets(kv)
+		sender := func(key uint64, ticket uint32) { _ = tk.Get(key, ticket) }
 		// Engines register sender-scoped handlers, so all S engines share
 		// this client node's dispatcher without clashing.
-		eng, err := core.NewEngine(cfg.Params, grant, node, disp, 0, core.IOSender(sender))
+		eng, err := core.NewEngine(cfg.Params, grant, node, disp, 0, sender, complete)
 		if err != nil {
 			return err
 		}
+		tk.Done = eng.Complete
 		cl.engines = append(cl.engines, eng)
 		cl.kvs = append(cl.kvs, kv)
 	}
@@ -274,12 +279,12 @@ func (mc *Cluster) addClient(i int, spec ClientSpec) error {
 		}
 		keys = z
 	}
-	submit := func(key uint64, done func()) {
+	submit := func(key uint64, ticket uint32) {
 		s := int(key % uint64(cfg.Servers))
 		cl.routed[s]++
-		cl.engines[s].Request(key, done)
+		cl.engines[s].Request(key, ticket)
 	}
-	gen, err := workload.NewGenerator(mc.kernel, cfg.Seed+int64(i)*104729, keys, workload.Burst{}, cfg.Params.Period, submit)
+	gen, err = workload.NewGenerator(mc.kernel, cfg.Seed+int64(i)*104729, keys, workload.Burst{}, cfg.Params.Period, submit)
 	if err != nil {
 		return err
 	}

@@ -23,9 +23,9 @@ import (
 // bound once at Connect. This exploits the FIFO ordering each stage
 // already guarantees (stations are FIFO within a class, the wire is a
 // constant delay, the kernel breaks ties by scheduling order), so posting
-// a verb allocates no per-operation closures — the only per-op
-// allocations left are the payload copy a WRITE semantically requires
-// and the optional flight-recorder span.
+// a verb allocates no per-operation closures. A large WRITE's payload is
+// copied into a buffer recycled per QP once the write is applied, so the
+// only per-op allocation left is the optional flight-recorder span.
 type QP struct {
 	fabric    *Fabric
 	id        int
@@ -95,6 +95,11 @@ type QP struct {
 	ctrlArriveFn func()
 	bulkArriveFn func()
 	deliverFn    func()
+
+	// spare holds applied WRITEs' payload buffers for reuse. Only the
+	// initiator's kernel touches it: a cross-shard QP recycles in the
+	// return message, others at the apply instant (DESIGN.md §8.4).
+	spare [][]byte
 }
 
 func (qp *QP) bindStages() {
@@ -431,6 +436,7 @@ func (qp *QP) serveOp(op flowOp) {
 		qp.postToInitiator(op, qp.wireAt(k, &qp.backWireAt), holdsCredit, deliver)
 		return
 	}
+	qp.recycle(&op)
 	if op.needsDeliver() {
 		qp.deliver.push(op)
 		k.At(qp.wireAt(k, &qp.backWireAt), qp.deliverFn)
@@ -442,6 +448,7 @@ func (qp *QP) serveOp(op flowOp) {
 func (qp *QP) postToInitiator(op flowOp, at sim.Time, credit, deliver bool) {
 	qp.target.prof.MailboxPosts++
 	qp.fabric.post(qp.target.shard, qp.initiator.shard, at, func() {
+		qp.recycle(&op)
 		if credit {
 			qp.releaseCredit()
 		}
@@ -466,6 +473,14 @@ func (qp *QP) deliverOp(op flowOp) {
 	op.invokeCB()
 }
 
+// recycle returns an applied WRITE's payload buffer to spare. A write
+// completion never reads it, so a delivery still carrying it is harmless.
+func (qp *QP) recycle(op *flowOp) {
+	if op.kind == opWrite && op.buf != nil {
+		qp.spare = append(qp.spare, op.buf)
+	}
+}
+
 // loopCtrlServed / loopBulkServed: a loopback op traversed the NIC once;
 // its effect and completion happen at the same instant, with no wire.
 func (qp *QP) loopCtrlServed() { qp.loopServe(qp.loopCtrl.pop()) }
@@ -483,6 +498,7 @@ func (qp *QP) loopServe(op flowOp) {
 		}
 	}
 	op.apply()
+	qp.recycle(&op)
 	if op.needsDeliver() {
 		if op.span != nil {
 			op.span.Done = k.Now()
@@ -693,12 +709,16 @@ func (qp *QP) Write(r *Region, off int, data []byte, cb func()) error {
 		span:       qp.beginSpan(trace.OpWrite, control),
 	}
 	// The payload is captured at call time either inline (small writes —
-	// the report/token hot path, no heap buffer) or into a fresh buffer.
+	// the report/token hot path, no heap buffer) or into a spare buffer no
+	// in-flight write holds (append allocates when it is too small).
 	if len(data) <= len(op.inline) {
 		op.inlineLen = uint8(copy(op.inline[:], data))
 	} else {
-		op.buf = make([]byte, len(data))
-		copy(op.buf, data)
+		var b []byte
+		if n := len(qp.spare); n > 0 {
+			b, qp.spare = qp.spare[n-1][:0], qp.spare[:n-1]
+		}
+		op.buf = append(b, data...)
 	}
 	qp.initiate(op)
 	return nil

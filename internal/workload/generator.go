@@ -14,9 +14,9 @@ import (
 const InfiniteDemand = uint64(math.MaxUint32)
 
 // Submit delivers one request to the I/O path (the Haechi QoS engine, or
-// a bare sender). done must be invoked exactly once, when the I/O
-// completes.
-type Submit func(key uint64, done func())
+// a bare sender). The I/O path hands ticket back to Generator.Complete
+// exactly once, when the I/O completes.
+type Submit func(key uint64, ticket uint32)
 
 // Pattern is a temporal request pattern: how a period's demand is spread
 // over the period.
@@ -178,24 +178,18 @@ type Generator struct {
 
 	Latency metrics.Histogram
 
-	// In-flight requests live in a slot pool: each slot carries the
-	// submission time and a completion callback bound once to the slot
-	// index and reused for every request that later occupies the slot.
+	// In-flight requests live in a slot pool indexed by ticket: starts
+	// holds each slot's submission time and free the reusable tickets.
 	// Unlike a FIFO of start times this stays correct when completions
 	// cross (multiserver routes one generator's keys to independent
 	// engines), and the pool stops allocating once it reaches the
 	// high-water outstanding count.
-	slots []genSlot
-	free  []int32
+	starts []sim.Time
+	free   []uint32
 
 	issuedTotal         uint64
 	completedTotal      uint64
 	completedThisPeriod uint64
-}
-
-type genSlot struct {
-	start  sim.Time
-	doneFn func()
 }
 
 // NewGenerator builds a generator. periodLen is the QoS period length T.
@@ -242,25 +236,25 @@ func (g *Generator) TakePeriodCompleted() uint64 {
 
 func (g *Generator) issue() {
 	key := g.keys.Next(g.rng)
-	var s int32
+	var t uint32
 	if n := len(g.free); n > 0 {
-		s = g.free[n-1]
+		t = g.free[n-1]
 		g.free = g.free[:n-1]
+		g.starts[t] = g.k.Now()
 	} else {
-		s = int32(len(g.slots))
-		g.slots = append(g.slots, genSlot{})
-		i := s // the bound callback captures the index, not a slot pointer,
-		// so pool growth relocating the slab is harmless.
-		g.slots[s].doneFn = func() { g.complete(i) }
+		t = uint32(len(g.starts))
+		g.starts = append(g.starts, g.k.Now())
 	}
-	g.slots[s].start = g.k.Now()
 	g.issuedTotal++
-	g.submit(key, g.slots[s].doneFn)
+	g.submit(key, t)
 }
 
-func (g *Generator) complete(slot int32) {
-	g.Latency.Record(g.k.Now() - g.slots[slot].start)
-	g.free = append(g.free, slot)
+// Complete finishes the request holding ticket: it records the request's
+// latency and frees the ticket for reuse. Completions may arrive in any
+// order; each ticket must complete exactly once per submission.
+func (g *Generator) Complete(ticket uint32) {
+	g.Latency.Record(g.k.Now() - g.starts[ticket])
+	g.free = append(g.free, ticket)
 	g.completedTotal++
 	g.completedThisPeriod++
 	g.drv.onCompletion()

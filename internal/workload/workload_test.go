@@ -236,17 +236,20 @@ func TestZipfGroupSplitSumProperty(t *testing.T) {
 	}
 }
 
-// instantSubmit completes every request after a fixed simulated delay.
-func instantSubmit(k *sim.Kernel, delay sim.Time) Submit {
-	return func(key uint64, done func()) {
-		k.Schedule(delay, done)
-	}
+// instantGen builds a generator whose requests complete after a fixed
+// simulated delay.
+func instantGen(k *sim.Kernel, seed int64, keys KeyChooser, pattern Pattern, periodLen, delay sim.Time) (*Generator, error) {
+	var g *Generator
+	g, err := NewGenerator(k, seed, keys, pattern, periodLen, func(_ uint64, ticket uint32) {
+		k.Schedule(delay, func() { g.Complete(ticket) })
+	})
+	return g, err
 }
 
 func TestGeneratorValidation(t *testing.T) {
 	k := sim.New(1)
 	keys := &SequentialKeys{N: 10}
-	sub := instantSubmit(k, 1)
+	sub := func(uint64, uint32) {}
 	if _, err := NewGenerator(nil, 1, keys, Burst{64}, sim.Second, sub); err == nil {
 		t.Error("nil kernel accepted")
 	}
@@ -267,14 +270,15 @@ func TestGeneratorValidation(t *testing.T) {
 func TestBurstKeepsWindowOutstanding(t *testing.T) {
 	k := sim.New(1)
 	outstanding, maxOutstanding := 0, 0
-	sub := func(key uint64, done func()) {
+	var g *Generator
+	sub := func(key uint64, ticket uint32) {
 		outstanding++
 		if outstanding > maxOutstanding {
 			maxOutstanding = outstanding
 		}
 		k.Schedule(10*sim.Microsecond, func() {
 			outstanding--
-			done()
+			g.Complete(ticket)
 		})
 	}
 	g, err := NewGenerator(k, 1, &SequentialKeys{N: 100}, Burst{Window: 8}, sim.Second, sub)
@@ -291,9 +295,64 @@ func TestBurstKeepsWindowOutstanding(t *testing.T) {
 	}
 }
 
+// TestGeneratorOutOfOrderTickets: tickets may complete in any order (the
+// multiserver testbed routes one generator's keys to independent
+// engines), and each completion charges its own request's latency and
+// frees its own ticket for reuse.
+func TestGeneratorOutOfOrderTickets(t *testing.T) {
+	k := sim.New(1)
+	var tickets []uint32
+	g, err := NewGenerator(k, 1, &SequentialKeys{N: 100}, ConstantRate{}, sim.Second, func(_ uint64, ticket uint32) {
+		tickets = append(tickets, ticket)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Four requests issue at 0, 250, 500 and 750 ms. The last one issued
+	// completes first: request i completes at 2 s minus its issue time, so
+	// the true latencies are 2 s, 1.5 s, 1 s and 0.5 s. A FIFO of start
+	// times would charge every completion 1.25 s instead.
+	g.BeginPeriod(4)
+	k.RunUntil(sim.Second)
+	if len(tickets) != 4 {
+		t.Fatalf("issued %d requests, want 4", len(tickets))
+	}
+	seen := map[uint32]bool{}
+	for i, ticket := range tickets {
+		if seen[ticket] {
+			t.Fatalf("ticket %d handed out twice while in flight", ticket)
+		}
+		seen[ticket] = true
+		ticket := ticket
+		issuedAt := sim.Time(i) * 250 * sim.Millisecond
+		k.At(2*sim.Second-issuedAt, func() { g.Complete(ticket) })
+	}
+	k.RunUntil(2 * sim.Second)
+	if g.Completed() != 4 {
+		t.Fatalf("Completed = %d, want 4", g.Completed())
+	}
+	if g.Latency.Min() != 500*sim.Millisecond || g.Latency.Max() != 2*sim.Second {
+		t.Errorf("latency range [%v, %v], want [500ms, 2s]", g.Latency.Min(), g.Latency.Max())
+	}
+
+	// The next period reuses the freed tickets instead of growing the pool.
+	tickets = tickets[:0]
+	g.BeginPeriod(4)
+	k.RunUntil(3 * sim.Second)
+	for _, ticket := range tickets {
+		if !seen[ticket] {
+			t.Errorf("second period drew fresh ticket %d; the pool should reuse freed ones", ticket)
+		}
+		g.Complete(ticket)
+	}
+	if g.Completed() != 8 {
+		t.Errorf("Completed = %d after reuse, want 8", g.Completed())
+	}
+}
+
 func TestBurstDefaultWindow(t *testing.T) {
 	k := sim.New(1)
-	g, err := NewGenerator(k, 1, &SequentialKeys{N: 10}, Burst{}, sim.Second, instantSubmit(k, 1))
+	g, err := instantGen(k, 1, &SequentialKeys{N: 10}, Burst{}, sim.Second, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +365,7 @@ func TestBurstDefaultWindow(t *testing.T) {
 
 func TestBurstIdlesAfterDemand(t *testing.T) {
 	k := sim.New(1)
-	g, _ := NewGenerator(k, 1, &SequentialKeys{N: 100}, Burst{Window: 4}, sim.Second, instantSubmit(k, sim.Microsecond))
+	g, _ := instantGen(k, 1, &SequentialKeys{N: 100}, Burst{Window: 4}, sim.Second, sim.Microsecond)
 	g.BeginPeriod(20)
 	k.Run()
 	if g.Issued() != 20 {
@@ -317,9 +376,10 @@ func TestBurstIdlesAfterDemand(t *testing.T) {
 func TestConstantRateSpacing(t *testing.T) {
 	k := sim.New(1)
 	var submitTimes []sim.Time
-	sub := func(key uint64, done func()) {
+	var g *Generator
+	sub := func(key uint64, ticket uint32) {
 		submitTimes = append(submitTimes, k.Now())
-		k.Schedule(1, done)
+		k.Schedule(1, func() { g.Complete(ticket) })
 	}
 	g, err := NewGenerator(k, 1, &SequentialKeys{N: 100}, ConstantRate{}, sim.Second, sub)
 	if err != nil {
@@ -341,7 +401,7 @@ func TestConstantRateSpacing(t *testing.T) {
 
 func TestConstantRateZeroDemand(t *testing.T) {
 	k := sim.New(1)
-	g, _ := NewGenerator(k, 1, &SequentialKeys{N: 100}, ConstantRate{}, sim.Second, instantSubmit(k, 1))
+	g, _ := instantGen(k, 1, &SequentialKeys{N: 100}, ConstantRate{}, sim.Second, 1)
 	g.BeginPeriod(0)
 	k.RunUntil(sim.Second)
 	if g.Issued() != 0 {
@@ -351,7 +411,7 @@ func TestConstantRateZeroDemand(t *testing.T) {
 
 func TestConstantRateNewPeriodResets(t *testing.T) {
 	k := sim.New(1)
-	g, _ := NewGenerator(k, 1, &SequentialKeys{N: 100}, ConstantRate{}, 10*sim.Millisecond, instantSubmit(k, 1))
+	g, _ := instantGen(k, 1, &SequentialKeys{N: 100}, ConstantRate{}, 10*sim.Millisecond, 1)
 	g.BeginPeriod(5)
 	k.RunUntil(10 * sim.Millisecond)
 	g.BeginPeriod(5)
@@ -370,7 +430,7 @@ func TestConstantRateNewPeriodResets(t *testing.T) {
 
 func TestGeneratorLatencyRecorded(t *testing.T) {
 	k := sim.New(1)
-	g, _ := NewGenerator(k, 1, &SequentialKeys{N: 10}, Burst{Window: 1}, sim.Second, instantSubmit(k, 5*sim.Microsecond))
+	g, _ := instantGen(k, 1, &SequentialKeys{N: 10}, Burst{Window: 1}, sim.Second, 5*sim.Microsecond)
 	g.BeginPeriod(4)
 	k.Run()
 	if g.Latency.Count() != 4 {
@@ -383,7 +443,7 @@ func TestGeneratorLatencyRecorded(t *testing.T) {
 
 func TestGeneratorStop(t *testing.T) {
 	k := sim.New(1)
-	g, _ := NewGenerator(k, 1, &SequentialKeys{N: 100}, ConstantRate{}, sim.Second, instantSubmit(k, 1))
+	g, _ := instantGen(k, 1, &SequentialKeys{N: 100}, ConstantRate{}, sim.Second, 1)
 	g.BeginPeriod(1000)
 	k.RunUntil(100 * sim.Millisecond)
 	issued := g.Issued()
@@ -405,7 +465,7 @@ func TestPatternStrings(t *testing.T) {
 
 func TestPoissonRate(t *testing.T) {
 	k := sim.New(8)
-	g, err := NewGenerator(k, 3, &SequentialKeys{N: 100}, Poisson{}, sim.Second, instantSubmit(k, 1))
+	g, err := instantGen(k, 3, &SequentialKeys{N: 100}, Poisson{}, sim.Second, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +479,7 @@ func TestPoissonRate(t *testing.T) {
 
 func TestPoissonZeroDemandAndStop(t *testing.T) {
 	k := sim.New(8)
-	g, _ := NewGenerator(k, 3, &SequentialKeys{N: 10}, Poisson{}, sim.Second, instantSubmit(k, 1))
+	g, _ := instantGen(k, 3, &SequentialKeys{N: 10}, Poisson{}, sim.Second, 1)
 	g.BeginPeriod(0)
 	k.RunUntil(sim.Second / 2)
 	if g.Issued() != 0 {
@@ -437,7 +497,7 @@ func TestPoissonZeroDemandAndStop(t *testing.T) {
 
 func TestPoissonNewPeriodRestarts(t *testing.T) {
 	k := sim.New(8)
-	g, _ := NewGenerator(k, 3, &SequentialKeys{N: 10}, Poisson{}, 100*sim.Millisecond, instantSubmit(k, 1))
+	g, _ := instantGen(k, 3, &SequentialKeys{N: 10}, Poisson{}, 100*sim.Millisecond, 1)
 	g.BeginPeriod(1000)
 	k.RunUntil(100 * sim.Millisecond)
 	first := g.Issued()
@@ -456,11 +516,12 @@ func TestPoissonNewPeriodRestarts(t *testing.T) {
 func TestPoissonInterArrivalProperty(t *testing.T) {
 	k := sim.New(8)
 	var times []sim.Time
-	sub := func(key uint64, done func()) {
+	var g *Generator
+	sub := func(key uint64, ticket uint32) {
 		times = append(times, k.Now())
-		k.Schedule(1, done)
+		k.Schedule(1, func() { g.Complete(ticket) })
 	}
-	g, _ := NewGenerator(k, 9, &SequentialKeys{N: 10}, Poisson{}, sim.Second, sub)
+	g, _ = NewGenerator(k, 9, &SequentialKeys{N: 10}, Poisson{}, sim.Second, sub)
 	g.BeginPeriod(20_000)
 	k.RunUntil(sim.Second)
 	if len(times) < 1000 {
