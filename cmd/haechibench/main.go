@@ -54,8 +54,8 @@ func run(args []string) int {
 		sanitize   = fs.Bool("sanitize", false, "enable runtime invariant checks (token conservation, pool floor, event order; output is identical, violations fail the run)")
 		chaosSpec  = fs.String("chaos", "", "inject a fault scenario into every cluster run (a preset such as set5, or a grammar string like 'crash@2.25:c=0;restart@5.5:c=0'; deterministic)")
 		csvDir     = fs.String("csv", "", "also write each table as CSV into this directory")
-		traceOut   = fs.String("trace", "", "write per-I/O spans as Chrome trace_event JSON (open in Perfetto); multi-run experiments get -NN suffixes")
-		traceSpans = fs.Int("trace-spans", 10000, "span ring capacity for -trace (histograms always cover every span)")
+		traceOut   = fs.String("trace", "", "write per-I/O spans and Haechi protocol events as Chrome trace_event JSON (open in Perfetto); multi-run experiments get -NN suffixes")
+		traceSpans = fs.Int("trace-spans", 10000, "span ring and protocol-event ring capacity per shard for -trace (histograms always cover every span)")
 		metricsOut = fs.String("metrics", "", "write sampled metrics as CSV; multi-run experiments get -NN suffixes")
 		cpuProfile = fs.String("cpuprofile", "", "write a pprof CPU profile of the whole invocation to this file")
 		memProfile = fs.String("memprofile", "", "write a pprof heap profile (after GC) to this file on exit")
@@ -138,6 +138,7 @@ func run(args []string) int {
 		ob := &cluster.Observe{OnResults: exp.capture}
 		if *traceOut != "" {
 			ob.FlightSpans = *traceSpans
+			ob.ProtocolEvents = *traceSpans // Bare-mode runs record none
 		}
 		if *metricsOut != "" {
 			ob.MetricsInterval = cluster.DefaultMetricsInterval(core.NewDefaultParams().Period)
@@ -252,7 +253,7 @@ func (e *exporter) flush() error {
 		if e.traceOut != "" && res.Flight != nil {
 			path := suffixed(e.traceOut, e.written)
 			if err := writeFile(path, func(f *os.File) error {
-				return trace.WriteChromeTrace(f, res.Flight, nil)
+				return trace.WriteChromeTrace(f, res.Flight)
 			}); err != nil {
 				return err
 			}

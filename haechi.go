@@ -159,7 +159,6 @@ type System struct {
 	cfg     Config
 	names   []string
 	cluster *cluster.Cluster
-	rec     *trace.Recorder
 	results *cluster.Results
 	ran     bool
 }
@@ -191,9 +190,13 @@ func New(cfg Config, tenants []Tenant) (*System, error) {
 	}
 	ccfg.Store = kvstore.Options{Capacity: storeCap, RecordSize: 4096}
 	ccfg.Records = cfg.Records
-	if cfg.FlightSpans > 0 || cfg.MetricsInterval > 0 {
+	if cfg.TraceEvents > 0 && cfg.Mode == ModeBare {
+		return nil, fmt.Errorf("haechi: tracing requires a QoS mode")
+	}
+	if cfg.FlightSpans > 0 || cfg.MetricsInterval > 0 || cfg.TraceEvents > 0 {
 		ccfg.Observe = &cluster.Observe{
 			FlightSpans:     cfg.FlightSpans,
+			ProtocolEvents:  cfg.TraceEvents,
 			MetricsInterval: sim.Time(cfg.MetricsInterval),
 		}
 	}
@@ -223,33 +226,19 @@ func New(cfg Config, tenants []Tenant) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("haechi: %w", err)
 	}
-	sys := &System{cfg: cfg, names: names, cluster: cl}
-	if cfg.TraceEvents > 0 {
-		if cfg.Mode == ModeBare {
-			return nil, fmt.Errorf("haechi: tracing requires a QoS mode")
-		}
-		rec, err := cl.EnableTrace(cfg.TraceEvents)
-		if err != nil {
-			return nil, fmt.Errorf("haechi: %w", err)
-		}
-		sys.rec = rec
-	}
-	return sys, nil
+	return &System{cfg: cfg, names: names, cluster: cl}, nil
 }
 
 // TraceSummary returns per-kind counts of the recorded protocol events
 // ("trace: empty" when tracing is off or nothing ran yet).
 func (s *System) TraceSummary() string {
-	return s.rec.Summary()
+	return s.cluster.FlightRecorder().Summary()
 }
 
 // DumpTrace writes the retained protocol events to w, one per line.
 // A no-op when tracing is off.
 func (s *System) DumpTrace(w io.Writer) error {
-	if s.rec == nil {
-		return nil
-	}
-	return s.rec.Dump(w)
+	return s.cluster.FlightRecorder().Dump(w)
 }
 
 func tenantSpec(t Tenant, cfg Config) (cluster.ClientSpec, error) {
@@ -349,10 +338,10 @@ func (s *System) Run() (*Report, error) {
 // Perfetto (ui.perfetto.dev) or chrome://tracing. Requires FlightSpans
 // and a completed Run.
 func (s *System) WriteChromeTrace(w io.Writer) error {
-	if s.results == nil || s.results.Flight == nil {
+	if s.cfg.FlightSpans <= 0 || s.results == nil {
 		return fmt.Errorf("haechi: no spans recorded (set Config.FlightSpans and call Run first)")
 	}
-	return trace.WriteChromeTrace(w, s.results.Flight, s.rec)
+	return trace.WriteChromeTrace(w, s.results.Flight)
 }
 
 // WriteMetricsCSV writes the sampled metrics registry as CSV. Requires

@@ -520,32 +520,6 @@ func (c *Cluster) Metrics() *metrics.Registry {
 	return m
 }
 
-// EnableTrace attaches a shared protocol-event recorder (ring of the
-// given capacity) to the monitor and every engine, and returns it. QoS
-// modes only, and unsharded only: the recorder is one ring shared by
-// writers on every shard, which the sharded worker pool cannot drive
-// without races (the public haechi.go API never shards, so this never
-// constrains it).
-func (c *Cluster) EnableTrace(capacity int) (*trace.Recorder, error) {
-	if c.monitor == nil {
-		return nil, fmt.Errorf("cluster: tracing requires a QoS mode")
-	}
-	if c.group != nil {
-		return nil, fmt.Errorf("cluster: the protocol-event recorder is shared across engines and unsupported in sharded runs; use Observe span recording instead")
-	}
-	rec, err := trace.NewRecorder(capacity)
-	if err != nil {
-		return nil, err
-	}
-	c.monitor.Trace = rec
-	for _, rt := range c.clients {
-		if rt.Engine != nil {
-			rt.Engine.Trace = rec
-		}
-	}
-	return rec, nil
-}
-
 // fnv32 is FNV-1a over the node name, used for stable shard placement.
 func fnv32(name string) uint32 {
 	h := uint32(2166136261)

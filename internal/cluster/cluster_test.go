@@ -558,46 +558,67 @@ func TestPoissonPatternInCluster(t *testing.T) {
 	}
 }
 
-// TestTracing: the shared recorder captures the protocol's event flow.
+// TestTracing: the per-shard recorders capture the protocol's event
+// flow, sharded or not. The monitor records on shard 0's recorder and
+// each engine on its own shard's, so the merged recorder holds both.
 func TestTracing(t *testing.T) {
-	specs := []ClientSpec{
-		{Reservation: 2000, Demand: ConstantDemand(4000)},
-		{Reservation: 2000, Demand: ConstantDemand(500)}, // yields
-	}
-	cl, err := New(testConfig(Haechi), specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := cl.EnableTrace(4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.EnableTrace(0); err == nil {
-		t.Error("zero-capacity trace accepted")
-	}
-	if _, err := cl.Run(1, 3); err != nil {
-		t.Fatal(err)
-	}
-	counts := rec.Counts()
-	for _, k := range []trace.Kind{trace.PeriodStart, trace.TokenPush, trace.Report,
-		trace.CapacityUpdate, trace.Claim, trace.Yield} {
-		if counts[k] == 0 {
-			t.Errorf("no %v events recorded (counts: %v)", k, counts)
+	for _, tc := range []struct{ shards, workers int }{{0, 0}, {3, 2}} {
+		specs := []ClientSpec{
+			{Reservation: 2000, Demand: ConstantDemand(4000)},
+			{Reservation: 2000, Demand: ConstantDemand(500)}, // yields
+		}
+		cfg := testConfig(Haechi)
+		cfg.Shards, cfg.ShardWorkers = tc.shards, tc.workers
+		cfg.Observe = &Observe{ProtocolEvents: 4096}
+		cl, err := New(cfg, specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := cl.Run(1, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := res.Flight
+		counts := rec.EventCounts()
+		for _, k := range []trace.Kind{trace.PeriodStart, trace.TokenPush, trace.Report,
+			trace.CapacityUpdate, trace.Claim, trace.Yield} {
+			if counts[k] == 0 {
+				t.Errorf("shards=%d: no %v events recorded (counts: %v)", tc.shards, k, counts)
+			}
+		}
+		if rec.Summary() == "trace: empty" {
+			t.Errorf("shards=%d: summary empty", tc.shards)
+		}
+		if rec.Finished() != 0 || res.Stages != nil {
+			t.Errorf("shards=%d: spans recorded with FlightSpans off", tc.shards)
+		}
+		evs := rec.Events()
+		for i := 1; i < len(evs); i++ {
+			if evs[i].At < evs[i-1].At {
+				t.Fatalf("shards=%d: merged events out of time order at %d: %v after %v", tc.shards, i, evs[i], evs[i-1])
+			}
 		}
 	}
-	if rec.Summary() == "trace: empty" {
-		t.Error("summary empty")
+	if _, err := New(Config{Observe: &Observe{ProtocolEvents: 8, FlightSpans: -1}}, []ClientSpec{{}}); err != nil {
+		t.Errorf("negative FlightSpans beside ProtocolEvents not treated as off: %v", err)
 	}
 }
 
-// TestTraceBareModeRejected: tracing needs a monitor.
-func TestTraceBareModeRejected(t *testing.T) {
-	cl, err := New(testConfig(Bare), []ClientSpec{{}})
+// TestTraceBareModeRecordsNothing: Bare mode has no monitor and no
+// engines, so protocol recording is accepted and records nothing.
+func TestTraceBareModeRecordsNothing(t *testing.T) {
+	cfg := testConfig(Bare)
+	cfg.Observe = &Observe{ProtocolEvents: 128}
+	cl, err := New(cfg, []ClientSpec{{Demand: ConstantDemand(500)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.EnableTrace(128); err == nil {
-		t.Error("bare-mode tracing accepted")
+	res, err := cl.Run(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if evs := res.Flight.Events(); len(evs) != 0 {
+		t.Errorf("bare mode recorded %d protocol events: %v", len(evs), evs)
 	}
 }
 

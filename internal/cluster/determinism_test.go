@@ -56,13 +56,14 @@ func TestDeterminismByteIdentical(t *testing.T) {
 	}
 }
 
-// TestObservabilityInert proves the flight recorder, the metrics
-// sampler, and the runtime invariant sanitizer observe without
-// perturbing: the simulated outcome with any of them enabled is
-// identical to the outcome without. (The metrics ticker does add kernel
-// events, but pure samplers cannot shift any existing event's time or
-// order; span recording adds no events at all; the sanitizer only reads
-// state the run already computes and schedules nothing.)
+// TestObservabilityInert proves the flight recorder (spans and protocol
+// events), the metrics sampler, and the runtime invariant sanitizer
+// observe without perturbing: the simulated outcome with any of them
+// enabled is identical to the outcome without. (The metrics ticker does
+// add kernel events, but pure samplers cannot shift any existing
+// event's time or order; span and protocol-event recording add no
+// events at all; the sanitizer only reads state the run already
+// computes and schedules nothing.)
 func TestObservabilityInert(t *testing.T) {
 	run := func(observe, sanitize bool, shards int) []byte {
 		specs := make([]ClientSpec, 4)
@@ -77,6 +78,7 @@ func TestObservabilityInert(t *testing.T) {
 		if observe {
 			cfg.Observe = &Observe{
 				FlightSpans:     1024,
+				ProtocolEvents:  1024,
 				MetricsInterval: DefaultMetricsInterval(cfg.Params.Period),
 			}
 		}

@@ -10,17 +10,24 @@ import (
 )
 
 // Observe configures the observability layer for a cluster run: per-I/O
-// flight-recorder spans and a pull-based metrics registry, both stamped
-// and sampled from the simulation clock. Recording is passive — it
-// never schedules kernel events of its own — so enabling it does not
-// change the simulated outcome (cluster.TestDeterminismByteIdentical
-// runs with it on).
+// flight-recorder spans, Haechi protocol events, and a pull-based
+// metrics registry, all stamped and sampled from the simulation clock.
+// Recording is passive — it never schedules kernel events of its own —
+// so enabling it does not change the simulated outcome
+// (cluster.TestDeterminismByteIdentical runs with it on).
 type Observe struct {
 	// FlightSpans is the span ring capacity: the most recent finished
 	// spans are retained for Chrome-trace export, while the per-stage
 	// latency histograms cover every span regardless of eviction.
 	// 0 disables span recording.
 	FlightSpans int
+	// ProtocolEvents is the protocol-event ring capacity per shard: each
+	// shard's recorder keeps its last ProtocolEvents token pushes,
+	// claims, yields, reports, capacity updates and failure transitions
+	// (trace.Kind), recorded by the monitor (shard 0) and by each engine
+	// on its own shard. Bare mode has neither, so records nothing.
+	// 0 disables protocol recording.
+	ProtocolEvents int
 	// MetricsInterval is the registry sampling cadence in virtual time.
 	// 0 disables the registry.
 	MetricsInterval sim.Time
@@ -52,24 +59,35 @@ func DefaultMetricsInterval(period sim.Time) sim.Time {
 
 // setupObserve attaches the flight recorders and metrics registries per
 // the config — one of each per shard, so observed sharded runs keep
-// every recorder single-writer at any worker count. Called at the end
-// of New, once all nodes, engines and generators exist.
+// every recorder single-writer at any worker count. Span recording goes
+// to the fabric, protocol events to the monitor (shard 0's recorder)
+// and to each engine (its own shard's recorder). Called at the end of
+// New, once all nodes, engines and generators exist.
 func (c *Cluster) setupObserve() error {
 	ob := c.cfg.Observe
 	if ob == nil {
 		return nil
 	}
-	if ob.FlightSpans > 0 {
+	spans, events := max(ob.FlightSpans, 0), max(ob.ProtocolEvents, 0)
+	if spans > 0 || events > 0 {
 		frs := make([]*trace.FlightRecorder, len(c.kernels))
 		for s := range frs {
-			fr, err := trace.NewShardFlightRecorder(ob.FlightSpans, s)
+			fr, err := trace.NewShardFlightRecorder(spans, events, s)
 			if err != nil {
 				return err
 			}
 			frs[s] = fr
 		}
-		if err := c.fabric.SetFlightRecorders(frs); err != nil {
-			return err
+		if spans > 0 {
+			if err := c.fabric.SetFlightRecorders(frs); err != nil {
+				return err
+			}
+		}
+		if events > 0 && c.monitor != nil {
+			c.monitor.Trace = frs[0] // the monitor lives on the data node's shard
+			for _, rt := range c.clients {
+				rt.Engine.SetTrace(frs[rt.Node.Shard()])
+			}
 		}
 		c.flights = frs
 	}
@@ -162,6 +180,9 @@ func (c *Cluster) registerMetrics() error {
 		if err := reg.Register(name+"/workload/inflight", func() float64 { return float64(rt.Gen.Issued() - rt.Gen.Completed()) }); err != nil {
 			return err
 		}
+	}
+	if c.cfg.Observe.FlightSpans <= 0 {
+		return nil
 	}
 	for s, fr := range c.flights {
 		fr := fr

@@ -220,6 +220,7 @@ func observedShardedRun(t *testing.T, shards, workers int) (resJSON, traceB, csv
 	cfg.Sanitize = true
 	cfg.Observe = &Observe{
 		FlightSpans:     2048,
+		ProtocolEvents:  2048,
 		MetricsInterval: DefaultMetricsInterval(cfg.Params.Period),
 	}
 	cl, err := New(cfg, specs)
@@ -235,7 +236,7 @@ func observedShardedRun(t *testing.T, shards, workers int) (resJSON, traceB, csv
 		t.Fatal(err)
 	}
 	var tb bytes.Buffer
-	if err := trace.WriteChromeTrace(&tb, res.Flight, nil); err != nil {
+	if err := trace.WriteChromeTrace(&tb, res.Flight); err != nil {
 		t.Fatal(err)
 	}
 	var cb bytes.Buffer
@@ -257,6 +258,9 @@ func TestObservedShardedByteIdentical(t *testing.T) {
 	baseRes, baseTrace, baseCSV := observedShardedRun(t, 4, 1)
 	if !bytes.Contains(baseTrace, []byte("shard-1")) {
 		t.Error("sharded Chrome trace has no shard-1 process track")
+	}
+	if !bytes.Contains(baseTrace, []byte(`"cat":"protocol"`)) {
+		t.Error("sharded Chrome trace has no protocol instant")
 	}
 	if !bytes.Contains(baseCSV, []byte("shard1/sim/pending-events")) {
 		t.Error("merged metrics CSV has no per-shard sim/ column")

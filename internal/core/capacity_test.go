@@ -76,24 +76,6 @@ func TestParamsValidate(t *testing.T) {
 	}
 }
 
-func TestParamsScaled(t *testing.T) {
-	p := NewDefaultParams().Scaled(10)
-	if p.Period != NewDefaultParams().Period/10 {
-		t.Errorf("scaled period = %v", p.Period)
-	}
-	if p.Tick != NewDefaultParams().Tick/10 {
-		t.Errorf("scaled tick = %v", p.Tick)
-	}
-	if err := p.Validate(); err != nil {
-		t.Errorf("scaled params invalid: %v", err)
-	}
-	// Identity for non-positive factor.
-	q := NewDefaultParams().Scaled(0)
-	if q.Period != NewDefaultParams().Period {
-		t.Error("Scaled(0) changed period")
-	}
-}
-
 func TestParamsStretched(t *testing.T) {
 	base := NewDefaultParams()
 	p := base.Stretched(10)

@@ -145,9 +145,11 @@ type Engine struct {
 	// PeriodLog records completed I/Os per finished period.
 	PeriodLog metrics.PeriodLog
 
-	// Trace, when non-nil, records protocol events (claims, probes,
-	// yields, reports, throttling).
-	Trace *trace.Recorder
+	// tracer, when non-nil, records protocol events (claims, probes,
+	// yields, reports, throttling) under the actor name actor
+	// ("engine-<id>", built once by SetTrace).
+	tracer *trace.FlightRecorder
+	actor  string
 
 	// san, when non-nil, checks token conservation at every period
 	// rollover (internal/sanitize). periodYielded tracks reservation
@@ -714,11 +716,18 @@ func (e *Engine) report() {
 	}
 }
 
-// record logs a protocol event when tracing is on. The actor name is
-// built only then, so an untraced engine allocates nothing here.
+// SetTrace attaches the recorder that logs this engine's protocol
+// events (nil detaches). The recorder must belong to the engine's own
+// shard, so it has one writer.
+func (e *Engine) SetTrace(fr *trace.FlightRecorder) {
+	e.tracer = fr
+	e.actor = fmt.Sprintf("engine-%d", e.id)
+}
+
+// record logs a protocol event when tracing is on.
 func (e *Engine) record(kind trace.Kind, a, b int64) {
-	if e.Trace != nil {
-		e.Trace.Record(trace.Event{At: e.k.Now(), Kind: kind, Actor: fmt.Sprintf("engine-%d", e.id), A: a, B: b})
+	if e.tracer != nil {
+		e.tracer.Event(trace.Event{At: e.k.Now(), Kind: kind, Actor: e.actor, A: a, B: b})
 	}
 }
 

@@ -119,8 +119,9 @@ type Monitor struct {
 	// burst-pattern reservation misses (Figs. 8(b), 13).
 	LocalViolations uint64
 
-	// Trace, when non-nil, records protocol events.
-	Trace *trace.Recorder
+	// Trace, when non-nil, records protocol events (its event ring; the
+	// monitor records no spans).
+	Trace *trace.FlightRecorder
 
 	// san, when non-nil, checks the pool floor and admission headroom
 	// invariants (internal/sanitize). Nil in production runs.
@@ -372,7 +373,7 @@ func (m *Monitor) startPeriod() {
 				m.periodIndex, m.sumRes, suspended, m.adm.Reserved())
 		}
 	}
-	m.Trace.Record(trace.Event{At: m.k.Now(), Kind: trace.PeriodStart, Actor: "monitor",
+	m.Trace.Event(trace.Event{At: m.k.Now(), Kind: trace.PeriodStart, Actor: "monitor",
 		A: int64(m.periodIndex), B: m.omega})
 
 	// Seed the report table with (R_i, 0) so conversion before the first
@@ -405,7 +406,7 @@ func (m *Monitor) startPeriod() {
 			EndAt:       int64(endAt),
 			Convert:     m.convert,
 		}}, periodStartMsgSize, nil)
-		m.Trace.Record(trace.Event{At: m.k.Now(), Kind: trace.TokenPush, Actor: "monitor",
+		m.Trace.Event(trace.Event{At: m.k.Now(), Kind: trace.TokenPush, Actor: "monitor",
 			A: int64(c.id), B: c.reservation})
 	}
 	m.periodTimer = m.k.At(endAt, m.endPeriod)
@@ -436,7 +437,7 @@ func (m *Monitor) check() {
 		if !m.reporting && old < m.initialGlobal {
 			m.reporting = true
 			m.ReportSignals++
-			m.Trace.Record(trace.Event{At: m.k.Now(), Kind: trace.ReportSignal, Actor: "monitor",
+			m.Trace.Event(trace.Event{At: m.k.Now(), Kind: trace.ReportSignal, Actor: "monitor",
 				A: int64(pi)})
 			for i := range m.clients {
 				if c := &m.clients[i]; c.active {
@@ -494,7 +495,7 @@ func (m *Monitor) detectLocalViolations() {
 		if v := m.adm.LocalViolation(c.reservation, int64(completed), elapsed); v > 0 {
 			c.violated = true
 			m.LocalViolations++
-			m.Trace.Record(trace.Event{At: m.k.Now(), Kind: trace.LocalViolation,
+			m.Trace.Event(trace.Event{At: m.k.Now(), Kind: trace.LocalViolation,
 				Actor: "monitor", A: int64(c.id), B: v})
 		}
 	}
@@ -539,7 +540,7 @@ func (m *Monitor) capPool(current int64) {
 	}
 	if current > bound {
 		m.ConversionCount++
-		m.Trace.Record(trace.Event{At: m.k.Now(), Kind: trace.PoolCap, Actor: "monitor",
+		m.Trace.Event(trace.Event{At: m.k.Now(), Kind: trace.PoolCap, Actor: "monitor",
 			A: current, B: bound})
 		_ = m.loop.WriteUint64(m.region, globalTokenOff, uint64(bound), nil)
 	}
@@ -580,7 +581,7 @@ func (m *Monitor) endPeriod() {
 	m.UsageSeries.Add(m.k.Now(), float64(total))
 	m.OmegaSeries.Add(m.k.Now(), float64(m.omega))
 	m.est.Update(total)
-	m.Trace.Record(trace.Event{At: m.k.Now(), Kind: trace.CapacityUpdate, Actor: "monitor",
+	m.Trace.Event(trace.Event{At: m.k.Now(), Kind: trace.CapacityUpdate, Actor: "monitor",
 		A: total, B: m.est.Current()})
 	if m.alertAfter > 0 {
 		for _, id := range m.est.ObserveClientUsage(used, reserved, m.alertAfter) {
@@ -625,7 +626,7 @@ func (m *Monitor) observeLiveness(c *monitorClient, word uint64) {
 			c.suspected = false
 			c.reinstatedAt = m.k.Now()
 			m.FailureRecoveries++
-			m.Trace.Record(trace.Event{At: m.k.Now(), Kind: trace.FailureRecover, Actor: "monitor",
+			m.Trace.Event(trace.Event{At: m.k.Now(), Kind: trace.FailureRecover, Actor: "monitor",
 				A: int64(c.id)})
 		}
 		return
@@ -643,7 +644,7 @@ func (m *Monitor) observeLiveness(c *monitorClient, word uint64) {
 		// scans, so the tombstone only ever feeds this comparison.
 		_ = m.region.PutUint64(reportSlotOffset(c.id), tombstoneWord)
 		c.lastWord = tombstoneWord
-		m.Trace.Record(trace.Event{At: m.k.Now(), Kind: trace.FailureSuspect, Actor: "monitor",
+		m.Trace.Event(trace.Event{At: m.k.Now(), Kind: trace.FailureSuspect, Actor: "monitor",
 			A: int64(c.id)})
 	}
 }

@@ -70,30 +70,6 @@ func NewDefaultParams() Params {
 	}
 }
 
-// Scaled returns params with the period (and the intervals, keeping their
-// ratio to the period) divided by factor; used with rdma.Config.Scaled to
-// run fast tests with identical protocol structure.
-func (p Params) Scaled(factor float64) Params {
-	if factor <= 0 {
-		return p
-	}
-	s := p
-	s.Period = sim.Time(float64(p.Period) / factor)
-	s.Tick = sim.Time(float64(p.Tick) / factor)
-	s.CheckInterval = sim.Time(float64(p.CheckInterval) / factor)
-	s.ReportInterval = sim.Time(float64(p.ReportInterval) / factor)
-	if s.Tick <= 0 {
-		s.Tick = 1
-	}
-	if s.CheckInterval <= 0 {
-		s.CheckInterval = 1
-	}
-	if s.ReportInterval <= 0 {
-		s.ReportInterval = 1
-	}
-	return s
-}
-
 // Stretched returns the control constants for a fabric whose rates were
 // divided by scale (rdma.Config.Scaled): Tick, CheckInterval and
 // ReportInterval are multiplied by scale and clamped to [1, Period/10],

@@ -13,7 +13,7 @@ import (
 // → target service → completion.
 func TestFlightSpansThroughPipeline(t *testing.T) {
 	k, f, client, server := testFabric(t)
-	fr, err := trace.NewFlightRecorder(16)
+	fr, err := trace.NewFlightRecorder(16, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestFlightSpansThroughPipeline(t *testing.T) {
 // completion callback (span must finish at delivery).
 func TestFlightSendSpan(t *testing.T) {
 	k, f, client, server := testFabric(t)
-	fr, err := trace.NewFlightRecorder(8)
+	fr, err := trace.NewFlightRecorder(8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,21 +52,23 @@ func (p *pidTable) id(name string) int {
 	return id
 }
 
-// WriteChromeTrace renders the recorder's retained spans (and, when rec
-// is non-nil, its protocol events as instant markers) as Chrome
-// trace_event JSON. Each initiator node becomes a process track and
-// each QP a thread within it; every data span emits one enclosing slice
-// for the whole verb plus one nested slice per pipeline stage, so a
-// burst tenant's widening target-queue slices are directly visible in
-// Perfetto. Control spans emit a single slice.
+// WriteChromeTrace renders the recorder's retained spans and protocol
+// events as Chrome trace_event JSON. Each initiator node becomes a
+// process track and each QP a thread within it; every data span emits
+// one enclosing slice for the whole verb plus one nested slice per
+// pipeline stage, so a burst tenant's widening target-queue slices are
+// directly visible in Perfetto. Control spans emit a single slice. Protocol events become
+// "protocol" instant markers on one process track per emitting actor
+// ("monitor", "engine-N").
 //
 // For a merged sharded recorder (MergeFlightRecorders over > 1 shard)
 // the layout changes: each shard becomes a process track ("shard-K",
 // pid K+1) and each QP a named thread within it (QP ids are
 // fabric-unique), so quantum-parallel shards render side by side and
 // cross-shard verbs are visible as slices whose target lives on another
-// track. Unsharded output is unchanged.
-func WriteChromeTrace(w io.Writer, fr *FlightRecorder, rec *Recorder) error {
+// track. Protocol events keep their per-actor tracks, after the shard
+// tracks. Unsharded output is unchanged.
+func WriteChromeTrace(w io.Writer, fr *FlightRecorder) error {
 	sharded := fr.Sharded()
 	var pids pidTable
 	if sharded {
@@ -137,18 +139,16 @@ func WriteChromeTrace(w io.Writer, fr *FlightRecorder, rec *Recorder) error {
 			})
 		}
 	}
-	if rec != nil {
-		for _, ev := range rec.Events() {
-			events = append(events, chromeEvent{
-				Name: ev.Kind.String(),
-				Cat:  "protocol",
-				Ph:   "i",
-				S:    "t",
-				Ts:   chromeUS(ev.At),
-				Pid:  pids.id(ev.Actor),
-				Args: map[string]any{"A": ev.A, "B": ev.B},
-			})
-		}
+	for _, ev := range fr.Events() {
+		events = append(events, chromeEvent{
+			Name: ev.Kind.String(),
+			Cat:  "protocol",
+			Ph:   "i",
+			S:    "t",
+			Ts:   chromeUS(ev.At),
+			Pid:  pids.id(ev.Actor),
+			Args: map[string]any{"A": ev.A, "B": ev.B},
+		})
 	}
 	meta := make([]chromeEvent, 0, fr.ShardCount()+len(pids.names)+len(threadMeta))
 	if sharded {

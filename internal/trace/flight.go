@@ -46,20 +46,19 @@ func (s *StageStats) record(sp *Span) {
 	}
 }
 
-// FlightRecorder collects finished spans into a bounded ring and folds
-// every finished data span into per-initiator stage histograms. All
-// methods are nil-safe so instrumented code needs no recorder checks at
-// call sites, and nothing here ever touches the kernel's event queue:
-// a run with a recorder attached executes the exact same event
-// sequence as a run without one.
+// FlightRecorder holds one shard's traces in two bounded rings: the
+// most recent finished spans and the most recent protocol events (see
+// Event). Every finished data span also folds into per-initiator stage
+// histograms. All methods are nil-safe so instrumented code needs no
+// recorder checks at call sites, and nothing here ever touches the
+// kernel's event queue: a run with a recorder attached executes the
+// exact same event sequence as a run without one.
 type FlightRecorder struct {
-	ring     []Span
-	next     int
-	wrapped  bool
-	nextID   uint64
-	started  uint64
-	finished uint64
-	stats    map[string]*StageStats
+	spans   ring[Span]
+	events  ring[Event]
+	nextID  uint64
+	started uint64
+	stats   map[string]*StageStats
 
 	// shard/idBase identify a per-shard recorder: span IDs are offset by
 	// idBase so they stay unique after merging, and every span is stamped
@@ -71,15 +70,17 @@ type FlightRecorder struct {
 	shards int
 }
 
-// NewFlightRecorder creates a recorder keeping the last capacity
-// finished spans.
-func NewFlightRecorder(capacity int) (*FlightRecorder, error) {
-	if capacity <= 0 {
-		return nil, fmt.Errorf("trace: flight recorder capacity must be positive, got %d", capacity)
+// NewFlightRecorder creates a recorder keeping the last spans finished
+// spans and the last events protocol events. Either ring may be empty
+// (capacity 0), not both.
+func NewFlightRecorder(spans, events int) (*FlightRecorder, error) {
+	if spans < 0 || events < 0 || spans+events == 0 {
+		return nil, fmt.Errorf("trace: flight recorder capacities must be non-negative and not both zero, got spans=%d events=%d", spans, events)
 	}
 	return &FlightRecorder{
-		ring:  make([]Span, capacity),
-		stats: make(map[string]*StageStats),
+		spans:  newRing[Span](spans),
+		events: newRing[Event](events),
+		stats:  make(map[string]*StageStats),
 	}, nil
 }
 
@@ -88,11 +89,11 @@ func NewFlightRecorder(capacity int) (*FlightRecorder, error) {
 // kernel — single-writer by construction, no locks — and span IDs get a
 // per-shard base (shard<<56) so they remain unique after the merge.
 // Shard 0's IDs match the unsharded numbering exactly.
-func NewShardFlightRecorder(capacity, s int) (*FlightRecorder, error) {
+func NewShardFlightRecorder(spans, events, s int) (*FlightRecorder, error) {
 	if s < 0 {
 		return nil, fmt.Errorf("trace: shard index must be non-negative, got %d", s)
 	}
-	fr, err := NewFlightRecorder(capacity)
+	fr, err := NewFlightRecorder(spans, events)
 	if err != nil {
 		return nil, err
 	}
@@ -134,13 +135,7 @@ func (f *FlightRecorder) Finish(sp *Span) {
 	if f == nil || sp == nil {
 		return
 	}
-	f.finished++
-	f.ring[f.next] = *sp
-	f.next++
-	if f.next == len(f.ring) {
-		f.next = 0
-		f.wrapped = true
-	}
+	f.spans.push(*sp)
 	if !sp.Control {
 		st := f.stats[sp.Initiator]
 		if st == nil {
@@ -166,7 +161,7 @@ func (f *FlightRecorder) Finished() uint64 {
 	if f == nil {
 		return 0
 	}
-	return f.finished
+	return f.spans.total
 }
 
 // Dropped returns the number of finished spans evicted from the ring
@@ -176,11 +171,7 @@ func (f *FlightRecorder) Dropped() uint64 {
 	if f == nil {
 		return 0
 	}
-	retained := uint64(f.next)
-	if f.wrapped {
-		retained = uint64(len(f.ring))
-	}
-	return f.finished - retained
+	return f.spans.dropped()
 }
 
 // Shard returns the shard index this recorder records for (0 on the
@@ -205,12 +196,12 @@ func (f *FlightRecorder) ShardCount() int {
 	return f.shards
 }
 
-// Capacity returns the ring size.
+// Capacity returns the span ring size.
 func (f *FlightRecorder) Capacity() int {
 	if f == nil {
 		return 0
 	}
-	return len(f.ring)
+	return len(f.spans.buf)
 }
 
 // Spans returns the retained spans in finish order, oldest first.
@@ -218,15 +209,7 @@ func (f *FlightRecorder) Spans() []Span {
 	if f == nil {
 		return nil
 	}
-	if !f.wrapped {
-		out := make([]Span, f.next)
-		copy(out, f.ring[:f.next])
-		return out
-	}
-	out := make([]Span, 0, len(f.ring))
-	out = append(out, f.ring[f.next:]...)
-	out = append(out, f.ring[:f.next]...)
-	return out
+	return f.spans.items()
 }
 
 // merge folds another actor's stage statistics into s.
@@ -241,18 +224,22 @@ func (s *StageStats) merge(o *StageStats) {
 // recorder, deterministically and independent of the worker count that
 // drove the shards:
 //
-//   - retained spans are k-way merged in (End, shard) order — End is
-//     nondecreasing within a shard because Finish runs at the span's
-//     final stamp, so preserving each shard's finish order and breaking
-//     cross-shard ties by shard index yields a total order;
+//   - retained spans are k-way merged in (End, shard) order and retained
+//     protocol events in (At, shard) order — both keys are
+//     nondecreasing within a shard, because Finish runs at the span's
+//     final stamp and Event at the kernel's current time, so preserving
+//     each shard's order and breaking cross-shard ties by shard index
+//     yields a total order;
 //   - per-actor stage histograms merge via Histogram.Merge (an actor's
 //     spans may finish on different shards: delivery finishes on the
 //     initiator's recorder, serve-only completions on the target's);
-//   - started/finished counters sum across shards.
+//   - started/finished and dropped counters sum across shards.
 //
-// The result must not receive further Begin/Finish calls; it exists for
-// export (Spans, Stages, Chrome trace). A single recorder is returned
-// unchanged.
+// Each shard keeps its own last N spans and events, so the merged
+// window may reach further back on a quiet shard than on a busy one.
+// The result must not receive further Begin/Finish/Event calls; it
+// exists for export (Spans, Events, Stages, Chrome trace). A single
+// recorder is returned unchanged.
 func MergeFlightRecorders(frs ...*FlightRecorder) *FlightRecorder {
 	if len(frs) == 1 {
 		return frs[0]
@@ -261,31 +248,14 @@ func MergeFlightRecorders(frs ...*FlightRecorder) *FlightRecorder {
 		stats:  make(map[string]*StageStats),
 		shards: len(frs),
 	}
-	spans := make([][]Span, len(frs))
-	total := 0
+	spans := make([]*ring[Span], len(frs))
+	events := make([]*ring[Event], len(frs))
 	for i, f := range frs {
-		spans[i] = f.Spans()
-		total += len(spans[i])
-		m.started += f.Started()
-		m.finished += f.Finished()
+		spans[i], events[i] = &f.spans, &f.events
+		m.started += f.started
 	}
-	ring := make([]Span, 0, total)
-	idx := make([]int, len(frs))
-	for len(ring) < total {
-		best := -1
-		for s := range frs {
-			if idx[s] >= len(spans[s]) {
-				continue
-			}
-			if best < 0 || spans[s][idx[s]].End() < spans[best][idx[best]].End() {
-				best = s
-			}
-		}
-		ring = append(ring, spans[best][idx[best]])
-		idx[best]++
-	}
-	m.ring = ring
-	m.wrapped = len(ring) > 0 // Spans() reads the whole ring from next=0
+	m.spans = mergeRings(spans, func(sp *Span) sim.Time { return sp.End() })
+	m.events = mergeRings(events, func(ev *Event) sim.Time { return ev.At })
 	for _, f := range frs {
 		for _, st := range f.Stages() { // sorted by actor: deterministic
 			dst := m.stats[st.Actor]

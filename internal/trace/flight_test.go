@@ -10,11 +10,14 @@ import (
 )
 
 func TestFlightRecorderValidation(t *testing.T) {
-	if _, err := NewFlightRecorder(0); err == nil {
+	if _, err := NewFlightRecorder(0, 0); err == nil {
 		t.Error("capacity 0 accepted")
 	}
-	if _, err := NewFlightRecorder(-3); err == nil {
+	if _, err := NewFlightRecorder(-3, 8); err == nil {
 		t.Error("negative capacity accepted")
+	}
+	if _, err := NewShardFlightRecorder(4, 0, -1); err == nil {
+		t.Error("negative shard accepted")
 	}
 }
 
@@ -33,7 +36,7 @@ func TestFlightRecorderNilSafe(t *testing.T) {
 }
 
 func TestFlightRingEvictionKeepsHistogramsExact(t *testing.T) {
-	fr, err := NewFlightRecorder(4)
+	fr, err := NewFlightRecorder(4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +68,7 @@ func TestFlightRingEvictionKeepsHistogramsExact(t *testing.T) {
 }
 
 func TestFlightStagesSortedAndControlExcluded(t *testing.T) {
-	fr, err := NewFlightRecorder(8)
+	fr, err := NewFlightRecorder(8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +117,7 @@ func TestSpanStageDurations(t *testing.T) {
 }
 
 func TestWriteChromeTrace(t *testing.T) {
-	fr, err := NewFlightRecorder(8)
+	fr, err := NewFlightRecorder(8, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,14 +127,10 @@ func TestWriteChromeTrace(t *testing.T) {
 	cp := fr.Begin(OpFetchAdd, true, "c1", "dn", 1, 300)
 	cp.InitDone, cp.Arrived, cp.Served, cp.Done = 320, 330, 350, 360
 	fr.Finish(cp)
-	rec, err := NewRecorder(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec.Record(Event{At: 500, Kind: Claim, Actor: "engine-0", A: 1, B: 2})
+	fr.Event(Event{At: 500, Kind: Claim, Actor: "engine-0", A: 1, B: 2})
 
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, fr, rec); err != nil {
+	if err := WriteChromeTrace(&buf, fr); err != nil {
 		t.Fatal(err)
 	}
 	var out struct {
@@ -183,7 +182,7 @@ func TestWriteChromeTrace(t *testing.T) {
 	}
 	// Export is deterministic: a second render is byte-identical.
 	var buf2 bytes.Buffer
-	if err := WriteChromeTrace(&buf2, fr, rec); err != nil {
+	if err := WriteChromeTrace(&buf2, fr); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
@@ -221,13 +220,13 @@ func TestKindsRoundTrip(t *testing.T) {
 // kind beyond the last declared constant must still be counted (the old
 // loop `for k := PeriodStart; k <= LocalViolation; k++` dropped them).
 func TestSummaryIncludesAllObservedKinds(t *testing.T) {
-	r, err := NewRecorder(8)
+	r, err := NewFlightRecorder(0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	future := LocalViolation + 1
-	r.Record(Event{Kind: future})
-	r.Record(Event{Kind: Claim})
+	r.Event(Event{Kind: future})
+	r.Event(Event{Kind: Claim})
 	sum := r.Summary()
 	if !strings.Contains(sum, "claim=1") {
 		t.Errorf("summary %q missing claim=1", sum)
@@ -247,7 +246,7 @@ func TestSummaryIncludesAllObservedKinds(t *testing.T) {
 // even when its spans finished on different shards.
 func TestMergeFlightRecorders(t *testing.T) {
 	newShard := func(s int) *FlightRecorder {
-		fr, err := NewShardFlightRecorder(4, s)
+		fr, err := NewShardFlightRecorder(4, 0, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -312,7 +311,7 @@ func TestMergeFlightRecorders(t *testing.T) {
 // TestFlightRecorderDropped pins the eviction counter the
 // trace/spans-dropped gauge exports.
 func TestFlightRecorderDropped(t *testing.T) {
-	fr, err := NewFlightRecorder(2)
+	fr, err := NewFlightRecorder(2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,11 +333,11 @@ func TestFlightRecorderDropped(t *testing.T) {
 // metadata, spans on their beginning shard's track, and per-QP
 // thread_name metadata naming the initiator.
 func TestWriteChromeTraceSharded(t *testing.T) {
-	fr0, err := NewShardFlightRecorder(4, 0)
+	fr0, err := NewShardFlightRecorder(4, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr1, err := NewShardFlightRecorder(4, 1)
+	fr1, err := NewShardFlightRecorder(4, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +350,7 @@ func TestWriteChromeTraceSharded(t *testing.T) {
 	m := MergeFlightRecorders(fr0, fr1)
 
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, m, nil); err != nil {
+	if err := WriteChromeTrace(&buf, m); err != nil {
 		t.Fatal(err)
 	}
 	var out struct {

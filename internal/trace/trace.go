@@ -1,9 +1,11 @@
-// Package trace records structured protocol events into a fixed-size
-// ring buffer, for debugging and analyzing Haechi runs: token pushes and
-// claims, yields and returns, pool caps, reports, capacity updates,
-// throttling, and failure-detection transitions. Recording is optional
-// and nil-safe — components hold a *Recorder that may be nil — and adds
-// a single branch when disabled.
+// Package trace is the simulator's one tracing system: a per-shard
+// FlightRecorder keeps the most recent per-I/O spans and the most recent
+// protocol events — token pushes and claims, yields and returns, pool
+// caps, reports, capacity updates, throttling, and failure-detection
+// transitions — in two bounded rings, and MergeFlightRecorders combines
+// the shards' recorders deterministically. Recording is optional and
+// nil-safe — components hold a *FlightRecorder that may be nil — and
+// adds a single branch when disabled.
 package trace
 
 import (
@@ -117,89 +119,45 @@ func (e Event) String() string {
 	return fmt.Sprintf("%-12v %-15s %-10s A=%d B=%d", e.At, e.Kind, e.Actor, e.A, e.B)
 }
 
-// Recorder is a fixed-capacity ring buffer of events. The zero value is
-// unusable; construct with NewRecorder. A nil *Recorder is a valid no-op
-// target for Record.
-type Recorder struct {
-	buf     []Event
-	next    int
-	wrapped bool
-	total   uint64
-}
-
-// NewRecorder creates a recorder keeping the most recent capacity events.
-func NewRecorder(capacity int) (*Recorder, error) {
-	if capacity <= 0 {
-		return nil, fmt.Errorf("trace: capacity must be positive, got %d", capacity)
-	}
-	return &Recorder{buf: make([]Event, capacity)}, nil
-}
-
-// Record appends an event, evicting the oldest when full. Safe on a nil
-// receiver.
-func (r *Recorder) Record(ev Event) {
-	if r == nil {
+// Event records a protocol event in the event ring, evicting the oldest
+// when full. Safe on a nil receiver, so the monitor and engines call it
+// unguarded; a recorder built with no event ring counts it as dropped.
+func (f *FlightRecorder) Event(ev Event) {
+	if f == nil {
 		return
 	}
-	r.buf[r.next] = ev
-	r.next++
-	r.total++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.wrapped = true
-	}
+	f.events.push(ev)
 }
 
-// Total returns the number of events ever recorded (including evicted).
-func (r *Recorder) Total() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.total
-}
-
-// Events returns the retained events in chronological order.
-func (r *Recorder) Events() []Event {
-	if r == nil {
+// Events returns the retained protocol events, oldest first.
+func (f *FlightRecorder) Events() []Event {
+	if f == nil {
 		return nil
 	}
-	if !r.wrapped {
-		out := make([]Event, r.next)
-		copy(out, r.buf[:r.next])
-		return out
-	}
-	out := make([]Event, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
+	return f.events.items()
 }
 
-// Filter returns retained events of the given kinds, chronological.
-func (r *Recorder) Filter(kinds ...Kind) []Event {
-	var out []Event
-	for _, ev := range r.Events() {
-		for _, k := range kinds {
-			if ev.Kind == k {
-				out = append(out, ev)
-				break
-			}
-		}
+// EventsDropped returns the number of protocol events evicted from the
+// event ring (recorded minus retained).
+func (f *FlightRecorder) EventsDropped() uint64 {
+	if f == nil {
+		return 0
 	}
-	return out
+	return f.events.dropped()
 }
 
-// Counts tallies retained events by kind.
-func (r *Recorder) Counts() map[Kind]int {
+// EventCounts tallies retained protocol events by kind.
+func (f *FlightRecorder) EventCounts() map[Kind]int {
 	out := make(map[Kind]int)
-	for _, ev := range r.Events() {
+	for _, ev := range f.Events() {
 		out[ev.Kind]++
 	}
 	return out
 }
 
-// Dump writes the retained events to w, one per line.
-func (r *Recorder) Dump(w io.Writer) error {
-	for _, ev := range r.Events() {
+// Dump writes the retained protocol events to w, one per line.
+func (f *FlightRecorder) Dump(w io.Writer) error {
+	for _, ev := range f.Events() {
 		if _, err := fmt.Fprintln(w, ev.String()); err != nil {
 			return err
 		}
@@ -207,11 +165,12 @@ func (r *Recorder) Dump(w io.Writer) error {
 	return nil
 }
 
-// Summary renders per-kind counts on one line. It iterates the kinds
-// actually observed, in sorted order, so events of kinds declared after
-// LocalViolation (or not declared at all) still appear.
-func (r *Recorder) Summary() string {
-	counts := r.Counts()
+// Summary renders per-kind protocol event counts on one line. It
+// iterates the kinds actually observed, in sorted order, so events of
+// kinds declared after LocalViolation (or not declared at all) still
+// appear.
+func (f *FlightRecorder) Summary() string {
+	counts := f.EventCounts()
 	if len(counts) == 0 {
 		return "trace: empty"
 	}
